@@ -385,7 +385,12 @@ def dispatch(argv: Sequence[str]) -> int:
         return 3
 
     if args.command != "verify":
-        print(json.dumps(results, sort_keys=True, indent=2))
+        try:
+            summary = json.dumps(results, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            print(f"run aborted: non-finite result ({exc})", file=sys.stderr)
+            return 1
+        print(summary)
 
     out_dir = args.out or os.environ.get("LYAPUNOV_LAB_OUT")
     if out_dir:
@@ -421,3 +426,7 @@ def dispatch(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .laws import RngStream
+from .laws import GAUSSIAN, ROW_CHUNK, RngStream, sample_rows
 from .util import golden_max
 
 __all__ = [
@@ -159,16 +159,16 @@ def couple(n: int, rng: RngStream, rho0: float = 0.0) -> CouplingTrace:
     la2 = math.log1p(-rho0 * rho0)
     rho[0] = r
     log_a2[0] = la2
-    for t in range(1, n + 1):
-        rng.seek_row(t - 1)
-        gw = rng.normals(2)
-        f = contraction_f(r, gw[0], gw[1])
-        la2 = la2 + f
-        log_b[t] = f
-        log_a2[t] = la2
-        ea = math.exp(la2) if la2 < 0.0 else 1.0
-        r = math.sqrt(1.0 - ea) if ea < 1.0 else 0.0
-        rho[t] = r
+    for first in range(0, n, ROW_CHUNK):
+        rows = sample_rows(GAUSSIAN, rng, first, min(ROW_CHUNK, n - first), 2).tolist()
+        for t, (g, w) in enumerate(rows, start=first + 1):
+            f = contraction_f(r, g, w)
+            la2 = la2 + f
+            log_b[t] = f
+            log_a2[t] = la2
+            ea = math.exp(la2) if la2 < 0.0 else 1.0
+            r = math.sqrt(1.0 - ea) if ea < 1.0 else 0.0
+            rho[t] = r
     return CouplingTrace(rho=rho, log_a2=log_a2, log_b=log_b)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateDivisorError, MemoryBudgetError
-from .laws import BERNOULLI, CoefficientLaw, RngStream, sample_row
+from .laws import BERNOULLI, ROW_CHUNK, CoefficientLaw, RngStream, sample_row, sample_rows
 from .util import log_abs_bigint
 
 __all__ = [
@@ -61,16 +61,27 @@ class _SignSource:
             raise ValueError("constant sign override must be +1 or -1")
 
     def row(self, step: int, k: int) -> np.ndarray:
+        """Row `step` of k coefficients."""
         if self._override is None:
             self._rng.seek_row(step)
             return sample_row(self._law, self._rng, k)
+        return self._overridden(1, k)[0]
+
+    def rows(self, first: int, count: int, k: int) -> np.ndarray:
+        """Rows first .. first+count-1 of k coefficients each, shape (count, k)."""
+        if self._override is None:
+            return sample_rows(self._law, self._rng, first, count, k)
+        return self._overridden(count, k)
+
+    def _overridden(self, count: int, k: int) -> np.ndarray:
         if isinstance(self._override, (int, np.integer)):
-            return np.full(k, float(self._override))
-        chunk = np.asarray(self._override[self._pos : self._pos + k], dtype=float)
-        if chunk.size != k or not np.all(np.abs(chunk) == 1.0):
+            return np.full((count, k), float(self._override))
+        size = count * k
+        chunk = np.asarray(self._override[self._pos : self._pos + size], dtype=float)
+        if chunk.size != size or not np.all(np.abs(chunk) == 1.0):
             raise ValueError("sign override exhausted or contains values other than +-1")
-        self._pos += k
-        return chunk
+        self._pos += size
+        return chunk.reshape(count, k)
 
 
 @dataclass
@@ -221,14 +232,15 @@ def run_fibonacci(
     out[1] = 0.0
     a, b = 1.0, 1.0  # (f[k], f[k-1]), renormalized
     log_scale = 0.0
-    for k in range(1, n):
-        row = src.row(k, 2)
-        a, b = row[0] * a + row[1] * b, a
-        aa = abs(a)
-        out[k + 1] = log_scale + (math.log(aa) if aa > 0.0 else float("-inf"))
-        m = max(aa, abs(b))
-        if m > _RENORM_HI or m < _RENORM_LO:
-            a /= m
-            b /= m
-            log_scale += math.log(m)
+    for first in range(1, n, ROW_CHUNK):
+        rows = src.rows(first, min(ROW_CHUNK, n - first), 2).tolist()
+        for k, (e0, e1) in enumerate(rows, start=first):
+            a, b = e0 * a + e1 * b, a
+            aa = abs(a)
+            out[k + 1] = log_scale + (math.log(aa) if aa > 0.0 else float("-inf"))
+            m = max(aa, abs(b))
+            if m > _RENORM_HI or m < _RENORM_LO:
+                a /= m
+                b /= m
+                log_scale += math.log(m)
     return out

@@ -1,6 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lyapunov_lab import cli, verification
@@ -170,6 +174,41 @@ def test_tails_small(tmp_path, capsys):
     lines = (out_dir / "tails.csv").read_text().splitlines()
     assert lines[0] == "index,tail_mean,alpha_power,stderr"
     assert len(lines) == 12
+
+
+def test_tails_needs_two_chains(capsys):
+    assert dispatch(["tails", "--n", "50", "--chains", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chains must be >= 2" in captured.err
+
+
+def test_non_finite_summary_is_not_a_success(monkeypatch, capsys):
+    stats = {
+        "indices": np.arange(3), "means": np.zeros(3), "stderrs": np.full(3, np.nan),
+        "alpha_powers": np.ones(3), "alpha": 0.98, "max_z": float("nan"), "passed": False,
+    }
+    monkeypatch.setattr(cli.verification, "tail_statistics", lambda *a, **k: stats)
+    assert dispatch(["tails", "--n", "50", "--chains", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_module_entry_points():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    done = run("lyapunov_lab.cli", "alpha", "--sigma2", "1", "--fourth-moment", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["alpha"] == pytest.approx(0.9838, abs=1e-4)
+    done = run("lyapunov_lab", "verify", "--suite", "nope")
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
 
 
 def test_usage_errors_exit_two(capsys):

@@ -14,7 +14,7 @@ from lyapunov_lab.gaussian import (
     expected_f,
     gaussian_log_moments,
 )
-from lyapunov_lab.laws import RngStream
+from lyapunov_lab.laws import ROW_CHUNK, RngStream
 
 E_LOG_CHI2_2 = math.exp(0.5) * float(exp1(0.5))  # E log(1 + g^2 + w^2)
 
@@ -134,6 +134,32 @@ def test_couple_replay_bit_identical():
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.log_a2, b.log_a2)
     assert np.array_equal(a.log_b, b.log_b)
+
+
+def _couple_per_row(n: int, rng: RngStream, rho0: float):
+    # reference: one seek_row + normals(2) per step, the loop before rows()
+    rho, log_a2, log_b = np.empty(n + 1), np.empty(n + 1), np.zeros(n + 1)
+    r, la2 = rho0, math.log1p(-rho0 * rho0)
+    rho[0], log_a2[0] = r, la2
+    for t in range(1, n + 1):
+        rng.seek_row(t - 1)
+        gw = rng.normals(2)
+        f = contraction_f(r, gw[0], gw[1])
+        la2 = la2 + f
+        log_b[t], log_a2[t] = f, la2
+        ea = math.exp(la2) if la2 < 0.0 else 1.0
+        r = math.sqrt(1.0 - ea) if ea < 1.0 else 0.0
+        rho[t] = r
+    return rho, log_a2, log_b
+
+
+@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 20_000])
+def test_couple_chunked_rows_match_per_row_loop(n):
+    tr = couple(n, RngStream(314, 15), 0.3)
+    rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15), 0.3)
+    assert np.array_equal(tr.rho, rho)
+    assert np.array_equal(tr.log_a2, log_a2)
+    assert np.array_equal(tr.log_b, log_b)
 
 
 def test_couple_additive_identity_is_exact():

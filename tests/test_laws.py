@@ -16,6 +16,7 @@ from lyapunov_lab.laws import (
     law_moments,
     sample,
     sample_row,
+    sample_rows,
 )
 
 
@@ -148,3 +149,42 @@ def test_invalid_stream_parameters():
         RngStream(0, 2**64)
     with pytest.raises(ValueError):
         RngStream(0, 0, -3)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 2**63 + 5])
+@pytest.mark.parametrize("first", [0, 1, 2**34 - 2])
+def test_rows_match_seek_row_and_words(seed, stream, first):
+    rng = RngStream(seed, stream, counter=17)
+    for k in (1, 2, 3, 4, 5, 130):
+        got = rng.rows(first, 2, k)
+        assert got.shape == (2, k) and got.dtype == np.uint64
+        for i in range(2):
+            ref = RngStream(seed, stream)
+            ref.seek_row(first + i)
+            assert np.array_equal(got[i], ref.words(k))
+    assert rng.counter == 17  # rows() does not move the stream
+
+
+def test_sample_rows_match_sample_row():
+    rng = RngStream(31, 4)
+    for law in (BERNOULLI, GAUSSIAN):
+        for k in (1, 2, 7):
+            got = sample_rows(law, rng, 100, 9, k)
+            for i in range(9):
+                rng.seek_row(100 + i)
+                assert np.array_equal(got[i], sample_row(law, rng, k))
+
+
+def test_rows_empty_and_rejected():
+    rng = RngStream(1, 2)
+    assert rng.rows(5, 0, 3).shape == (0, 3)
+    assert rng.rows(5, 3, 0).shape == (3, 0)
+    rng.rows(2**34 - 1, 1, 2)  # the last row that fits
+    with pytest.raises(ValueError):
+        rng.rows(2**34, 1, 2)
+    with pytest.raises(ValueError):
+        rng.rows(2**34 - 1, 2, 2)
+    for args in ((-1, 1, 2), (0, -1, 2), (0, 1, -1)):
+        with pytest.raises(ValueError):
+            rng.rows(*args)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lyapunov_lab.errors import MemoryBudgetError
-from lyapunov_lab.laws import RngStream
+from lyapunov_lab.laws import ROW_CHUNK, RngStream
 from lyapunov_lab.recursion import run_exact, run_exact_float, run_fibonacci, run_vt
 from lyapunov_lab.util import log_abs_bigint
 from lyapunov_lab.verification import GAMMA_FIB_ORACLE
@@ -123,10 +123,49 @@ def test_fibonacci_zero_hit_recorded_and_survived():
 
 
 def test_fibonacci_random_rate_matches_oracle():
-    # frozen from the exact big-integer calibration run, band covers its CI
+    # log of Viswanath's constant; the band covers a single run's spread
     n = 1_000_000
     out = run_fibonacci(n, RngStream(271828, 0))
     assert out[-1] / n == pytest.approx(GAMMA_FIB_ORACLE, abs=0.005)
+
+
+def _fibonacci_per_row(n: int, rng: RngStream) -> np.ndarray:
+    # reference: one seek_row + signs(2) per step, the loop before rows()
+    out = np.empty(n + 1)
+    out[0] = out[1] = 0.0
+    a, b = 1.0, 1.0
+    log_scale = 0.0
+    for k in range(1, n):
+        rng.seek_row(k)
+        e = rng.signs(2)
+        a, b = e[0] * a + e[1] * b, a
+        aa = abs(a)
+        out[k + 1] = log_scale + (math.log(aa) if aa > 0.0 else float("-inf"))
+        m = max(aa, abs(b))
+        if m > 2.0**64 or m < 2.0**-64:
+            a /= m
+            b /= m
+            log_scale += math.log(m)
+    return out
+
+
+@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, ROW_CHUNK + 2, 20_000])
+def test_fibonacci_chunked_rows_match_per_row_loop(n):
+    out = run_fibonacci(n, RngStream(2718, 3))
+    assert np.array_equal(out, _fibonacci_per_row(n, RngStream(2718, 3)))
+
+
+def test_fibonacci_sequence_override_spans_chunks():
+    n = ROW_CHUNK + 3
+    signs = [1 if (i * 7) % 3 else -1 for i in range(2 * (n - 1))]
+    out = run_fibonacci(n, RngStream(0), sign_override=signs)
+    a, b, ref = 1, 1, [0.0, 0.0]
+    for k in range(n - 1):
+        a, b = signs[2 * k] * a + signs[2 * k + 1] * b, a
+        ref.append(log_abs_bigint(a) if a else float("-inf"))
+    assert np.allclose(out, ref, rtol=0, atol=1e-9 * n)
+    with pytest.raises(ValueError):
+        run_fibonacci(n + 1, RngStream(0), sign_override=signs)
 
 
 def test_preconditions():
