@@ -1,10 +1,11 @@
 """Closed-form constants and inequality oracles.
 
 * alpha_bound: the contraction constant alpha < 1 bounding E(1/||AY||) over
-  unit vectors Y, obtained by maximizing a(sigma2-a)^2 / (f*D*(1+a)) over
-  a in (0, sigma2). The default factor f = 7 matches the conservative
-  fourth-moment bound used to derive the constant; a sharper factor can be
-  passed explicitly (f = 3 is valid for unit-variance signs).
+  unit vectors Y, from the maximum of a(sigma2-a)^2 / (f*D*(1+a)) over
+  a in (0, sigma2), which has a closed form. The default factor f = 7
+  matches the conservative fourth-moment bound used to derive the
+  constant; a sharper factor can be passed explicitly (f = 3 is valid for
+  unit-variance signs).
 * moment_tail_bound: the Paley-Zygmund-style lower bound for P(zeta >= a)
   from the mean and a higher moment of a nonnegative variable.
 * verify_alpha_mc: Monte Carlo check that E(1/||AY||) <= alpha for a given
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import TableBudgetError
 from .laws import CoefficientLaw, RngStream, sample_row
-from .util import golden_max
 
 __all__ = [
     "AlphaResult",
@@ -50,9 +50,10 @@ class AlphaResult:
 def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0) -> AlphaResult:
     """Contraction constant alpha = 1 - max_a a(sigma2-a)^2/(f*D*(1+a)).
 
-    The maximization runs a dense grid over (0, sigma2) followed by
-    golden-section refinement to |da| < 1e-9; the objective is smooth and
-    unimodal there.
+    The derivative of a(s-a)^2/(1+a) factors as (s-a)(s-3a-2a^2)/(1+a)^2,
+    so on (0, s) the maximizer is the positive root of 2a^2 + 3a = s,
+    a* = (-3 + sqrt(9+8s))/4, evaluated as 2s/(3 + sqrt(9+8s)) to avoid
+    cancellation when s is small.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -60,19 +61,8 @@ def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0
         raise ValueError("fourth moment below sigma2^2 violates Jensen")
     if zeta_sq_factor <= 0:
         raise ValueError("zeta_sq_factor must be positive")
-    scale = zeta_sq_factor * fourth_moment
-
-    def f(a: float) -> float:
-        return a * (sigma2 - a) ** 2 / (scale * (1.0 + a))
-
-    grid = np.linspace(0.0, sigma2, 10_001)[1:-1]
-    vals = grid * (sigma2 - grid) ** 2 / (scale * (1.0 + grid))
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    a_star, f_star = golden_max(f, float(lo), float(hi), 1e-9)
-    if vals[i] > f_star:
-        a_star, f_star = float(grid[i]), float(vals[i])
+    a_star = 2.0 * sigma2 / (3.0 + math.sqrt(9.0 + 8.0 * sigma2))
+    f_star = a_star * (sigma2 - a_star) ** 2 / (zeta_sq_factor * fourth_moment * (1.0 + a_star))
     return AlphaResult(
         alpha=1.0 - f_star,
         argmax_a=a_star,

@@ -30,9 +30,11 @@ __all__ = [
     "weighted_norm",
     "run_chain",
     "DEFAULT_TRUNC_TOL",
+    "MAX_TRUNC_TOL",
 ]
 
 DEFAULT_TRUNC_TOL = 1e-14
+MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
 
 
 @dataclass
@@ -183,9 +185,12 @@ def run_chain(
     checkpoints, and the per-index mean |z_i| over the last half of the run.
     For c > 0 the weight must satisfy c < -log(alpha) for the law's moments,
     the regime where the weighted and plain rates provably agree.
+    trunc_tol must lie in (0, MAX_TRUNC_TOL].
     """
     if n < 100:
         raise ValueError("n must be >= 100")
+    if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
+        raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
     if w.c > 0.0:
         sigma2, d4 = law.sigma2, law.fourth_moment
         neg_log_alpha = -math.log(alpha_bound(sigma2, d4).alpha)

@@ -173,10 +173,9 @@ def _cmd_alpha(args) -> tuple[dict, dict]:
 
 
 def _cmd_eta(args) -> tuple[dict, dict]:
-    res = gaussian.eta(args.quad_order, args.grid, args.convention)
+    res = gaussian.eta(args.quad_order, args.grid)
     results = {
         "eta_hat": res.eta_hat,
-        "argmax_rho": res.argmax_rho,
         "quad_order": res.quad_order,
         "grid_size": int(res.rho_grid.size),
     }
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eta", help="worst-case expected contraction by quadrature")
     p.add_argument("--quad-order", type=int, default=80)
     p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--convention", choices=["minus", "plus"], default="minus")
     _add_common(p)
     p.set_defaults(func=_cmd_eta)
 
@@ -338,42 +336,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand_defaults(parser: argparse.ArgumentParser, command: str) -> dict:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[command]
-            return {a.dest: a.default for a in sub._actions if a.dest != "help"}
-    return {}
+def _config_flags(path: str) -> list[str]:
+    """The values of a JSON config file as command-line flags.
 
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill parameters the command line left at their defaults; flags win."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
+    A key names a parameter ("stream_id" or "stream-id"); true sets a
+    switch such as no_timestamps; a string or number becomes the flag's
+    value and meets the same type and choice checks as one typed.
+    """
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object of parameter values")
-    defaults = _subcommand_defaults(parser, args.command)
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ValueError(f"config key {key!r} is not a parameter of this command")
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config value of {key!r} must be a string, a number or true, got {value!r}")
+    return flags
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's flags go in before the command line's, so typed flags win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    return args
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    started = _now(not args.no_timestamps)
-    try:
-        _apply_config(args, parser)
+        args = _parse(list(argv))
+        started = _now(not args.no_timestamps)
         results, files = args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error it has printed
+        return int(exc.code or 0)
     except (ValueError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

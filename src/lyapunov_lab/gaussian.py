@@ -20,7 +20,6 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .laws import GAUSSIAN, ROW_CHUNK, RngStream, sample_rows
-from .util import golden_max
 
 __all__ = [
     "CouplingTrace",
@@ -36,23 +35,17 @@ __all__ = [
 _LIMIT_A2 = 1e-12  # below this squared misalignment, use the rho = 1 limit form
 
 
-def contraction_f(rho: float, g, w, convention: str = "minus"):
+def contraction_f(rho: float, g, w):
     """log of the one-step misalignment ratio, F(rho, g, w).
 
-    g and w may be scalars or arrays. The default "minus" convention writes
-    the misaligned component as ((1-rho)g - aw)/a, which keeps the first
-    log argument nonnegative pointwise; "plus" flips the sign of w
-    everywhere, which changes nothing in distribution (w is symmetric) and
-    exists for A/B comparison of the two printed forms. At rho = 1 the
-    formula is the analytic limit log(1+g^2+w^2) - 2 log(1+g^2), entered
-    whenever a^2 < 1e-12.
+    g and w may be scalars or arrays. The misaligned component is written
+    as ((1-rho)g - aw)/a, which keeps the first log argument nonnegative
+    pointwise; flipping the sign of w changes nothing in distribution,
+    since w is symmetric. At rho = 1 the formula is the analytic limit
+    log(1+g^2+w^2) - 2 log(1+g^2), entered whenever a^2 < 1e-12.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if convention == "plus":
-        w = np.negative(w)
-    elif convention != "minus":
-        raise ValueError(f"unknown convention {convention!r}")
     g = np.asarray(g, dtype=float)
     w = np.asarray(w, dtype=float)
     a2 = 1.0 - rho * rho
@@ -82,12 +75,12 @@ def _gh_tensor(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g_nodes, w_nodes, np.outer(w, w)
 
 
-def expected_f(rho: float, quad_order: int = 80, convention: str = "minus") -> float:
+def expected_f(rho: float, quad_order: int = 80) -> float:
     """E F(rho, g, w) over independent standard normals, by tensor quadrature."""
     if quad_order < 20:
         raise ValueError("quad_order must be >= 20")
     g, w, ww = _gh_tensor(quad_order)
-    return float(np.sum(ww * contraction_f(rho, g, w, convention)))
+    return float(np.sum(ww * contraction_f(rho, g, w)))
 
 
 @dataclass(frozen=True)
@@ -95,35 +88,24 @@ class EtaResult:
     rho_grid: np.ndarray
     mean_f: np.ndarray
     eta_hat: float
-    argmax_rho: float
     quad_order: int
 
 
-def eta(quad_order: int = 80, grid_size: int = 201, convention: str = "minus") -> EtaResult:
+def eta(quad_order: int = 80, grid_size: int = 201) -> EtaResult:
     """Worst-case expected contraction: max over rho in [0,1] of E F.
 
-    Scans a uniform grid and refines around the best point by golden
-    section to |drho| < 1e-6. The grid table is kept for inspection; the
-    expectation turns out to be numerically flat in rho, so the argmax
-    carries little information beyond the value itself.
+    Takes the maximum of E F over a uniform rho grid and keeps the grid
+    table for inspection. E F is the same for every rho (the first log
+    argument of F is distributed as 1 + g^2 + w^2, and rho g + a w is
+    standard normal), so refining between grid points would move the
+    maximum by quadrature noise only; verification.check_eta_value fails
+    when the spread of the grid exceeds 1e-7.
     """
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
     rhos = np.linspace(0.0, 1.0, grid_size)
-    vals = np.array([expected_f(r, quad_order, convention) for r in rhos])
-    i = int(np.argmax(vals))
-    lo = float(rhos[max(i - 1, 0)])
-    hi = float(rhos[min(i + 1, grid_size - 1)])
-    arg, val = golden_max(lambda r: expected_f(r, quad_order, convention), lo, hi, 1e-6)
-    if vals[i] > val:
-        arg, val = float(rhos[i]), float(vals[i])
-    return EtaResult(
-        rho_grid=rhos,
-        mean_f=vals,
-        eta_hat=val,
-        argmax_rho=arg,
-        quad_order=quad_order,
-    )
+    vals = np.array([expected_f(r, quad_order) for r in rhos])
+    return EtaResult(rho_grid=rhos, mean_f=vals, eta_hat=float(vals.max()), quad_order=quad_order)
 
 
 @dataclass

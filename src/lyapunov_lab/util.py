@@ -9,46 +9,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi].
-
-    Returns (argmax, value) once the bracket width drops below tol.
-    Derivative-free, ~1.44 log2((hi-lo)/tol) evaluations.
-    """
-    if hi < lo:
-        lo, hi = hi, lo
-    h = hi - lo
-    if h <= tol:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    a, b = lo, hi
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-    x = 0.5 * (a + b)
-    fx = f(x)
-    # never report worse than an interior probe
-    if fc >= fx and fc >= fd:
-        return c, fc
-    if fd >= fx:
-        return d, fd
-    return x, fx
-
 
 def log_abs_bigint(x: int) -> float:
     """log|x| for an arbitrary-precision integer, accurate to ~1 ulp.

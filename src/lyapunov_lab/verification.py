@@ -87,6 +87,12 @@ def _eta_closed_form() -> float:
     return math.exp(0.5) * float(exp1(0.5)) - 2.0 * e_log1p_g2
 
 
+ETA_MAX_SPREAD = 1e-7
+"""Largest spread of E F over the rho grid that check_eta_value accepts.
+gaussian.eta takes the grid maximum without refining it, which is safe
+only while E F is flat in rho (the spread is 7.8e-9 at 80 nodes, 201 rhos)."""
+
+
 def check_eta_value(quad_order: int = 80, grid_size: int = 201) -> CheckResult:
     res = gaussian.eta(quad_order, grid_size)
     closed = _eta_closed_form()
@@ -95,8 +101,8 @@ def check_eta_value(quad_order: int = 80, grid_size: int = 201) -> CheckResult:
         name="eta_value",
         expected=f"{closed:.10f}",
         observed=f"{res.eta_hat:.10f}",
-        tolerance="1e-6",
-        passed=abs(res.eta_hat - closed) < 1e-6,
+        tolerance=f"1e-6, rho-grid spread <= {ETA_MAX_SPREAD:g}",
+        passed=abs(res.eta_hat - closed) < 1e-6 and spread <= ETA_MAX_SPREAD,
         details=(
             f"rho-grid spread {spread:.1e}; "
             f"reported {ETA_PRINTED} differs by {abs(res.eta_hat - ETA_PRINTED):.4f}"
@@ -128,18 +134,33 @@ def check_chi2_log_moment(quad_order: int = 80) -> CheckResult:
     )
 
 
+def _alpha_by_grid(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0) -> tuple[float, float]:
+    """(alpha, argmax) of 1 - max_a a(sigma2-a)^2/(f*D*(1+a)) by brute force.
+
+    An oracle for bounds.alpha_bound that shares nothing with its closed
+    form: a 10,001-point grid over [0, sigma2], then a second one across
+    the two cells around the best point. The second pass is needed for
+    1e-9 everywhere: the first alone misses by 4.8e-9 at sigma2 = 10.
+    """
+    lo, hi = 0.0, sigma2
+    for _ in range(2):
+        a = np.linspace(lo, hi, 10_001)
+        vals = a * (sigma2 - a) ** 2 / (zeta_sq_factor * fourth_moment * (1.0 + a))
+        i = int(np.argmax(vals))
+        lo, hi = float(a[max(i - 1, 0)]), float(a[min(i + 1, a.size - 1)])
+    return 1.0 - float(vals[i]), float(a[i])
+
+
 def check_alpha_closed_form() -> CheckResult:
-    # for sigma2 = D = 1 the maximizer solves 2a^2 + 3a - 1 = 0
-    a_star = (-3.0 + math.sqrt(17.0)) / 4.0
-    closed = 1.0 - a_star * (1.0 - a_star) ** 2 / (7.0 * (1.0 + a_star))
+    grid_alpha, grid_a = _alpha_by_grid(1.0, 1.0)
     res = bounds.alpha_bound(1.0, 1.0)
     return CheckResult(
         name="alpha_closed_form",
-        expected=f"{closed:.9f}",
+        expected=f"{grid_alpha:.9f}",
         observed=f"{res.alpha:.9f}",
         tolerance="1e-9",
-        passed=abs(res.alpha - closed) < 1e-9,
-        details=f"argmax_a={res.argmax_a:.6f} vs {a_star:.6f}",
+        passed=abs(res.alpha - grid_alpha) < 1e-9,
+        details=f"argmax_a={res.argmax_a:.6f} vs grid {grid_a:.6f}",
     )
 
 

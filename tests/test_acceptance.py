@@ -49,6 +49,18 @@ def test_c01_eta_check_is_not_vacuous(monkeypatch, eta_result):
     assert not check.passed, V.format_line(check)
 
 
+def test_c01_eta_check_fails_when_mean_f_is_not_flat(monkeypatch):
+    # a tilt of 5e-7 keeps the grid maximum (at rho = 0) within 1e-6 of the
+    # closed form, so only the flatness guard can fail the check
+    from lyapunov_lab import gaussian
+
+    flat = gaussian.expected_f
+    monkeypatch.setattr(gaussian, "expected_f", lambda rho, quad_order=80: flat(rho, quad_order) - 5e-7 * rho)
+    check = V.check_eta_value()
+    assert abs(float(check.observed) - float(check.expected)) < 1e-6
+    assert not check.passed, V.format_line(check)
+
+
 def test_c02_vt_limit():
     t0 = time.perf_counter()
     check = V.check_vt_log4()

@@ -16,6 +16,7 @@ from lyapunov_lab.bounds import (
 )
 from lyapunov_lab.errors import TableBudgetError
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
+from lyapunov_lab.verification import _alpha_by_grid
 
 
 def test_alpha_unit_moments_closed_form():
@@ -27,6 +28,21 @@ def test_alpha_unit_moments_closed_form():
     assert res.argmax_a == pytest.approx(a_star, abs=1e-6)
     assert res.alpha == pytest.approx(0.9838, abs=1e-4)
     assert 0.0 < res.argmax_a < 1.0
+
+
+@given(
+    sigma2=st.floats(min_value=1e-6, max_value=100.0),
+    excess=st.floats(min_value=1.0, max_value=100.0),
+    factor=st.sampled_from([3.0, 7.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_alpha_closed_form_matches_grid_oracle(sigma2, excess, factor):
+    fourth = sigma2**2 * excess  # D >= sigma2^2 (Jensen)
+    res = alpha_bound(sigma2, fourth, factor)
+    grid_alpha, _ = _alpha_by_grid(sigma2, fourth, factor)
+    assert abs(res.alpha - grid_alpha) <= 1e-9
+    a = res.argmax_a
+    assert 2.0 * a * a + 3.0 * a == pytest.approx(sigma2, rel=1e-12)
 
 
 def test_alpha_small_sigma2_tends_to_one():

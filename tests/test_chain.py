@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lyapunov_lab.chain import (
+    MAX_TRUNC_TOL,
     NormalizedState,
     WeightParameter,
     apply_step,
@@ -132,6 +133,16 @@ def test_run_chain_preconditions():
         run_chain(BERNOULLI, 1000, RngStream(0, 0), w=WeightParameter(0.02))
     with pytest.raises(ValueError):
         WeightParameter(-0.1)
+
+
+@pytest.mark.parametrize("tol", [0.5, 2e-8, 0.0, -1.0, math.nan, math.inf])
+def test_run_chain_rejects_trunc_tol_outside_range(tol):
+    with pytest.raises(ValueError, match="trunc_tol"):
+        run_chain(BERNOULLI, 100, RngStream(0, 0), trunc_tol=tol)
+
+
+def test_run_chain_accepts_largest_trunc_tol():
+    assert run_chain(BERNOULLI, 100, RngStream(0, 0), trunc_tol=MAX_TRUNC_TOL).increments.size == 100
 
 
 def test_row_override_size_mismatch():

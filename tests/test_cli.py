@@ -53,6 +53,7 @@ def test_eta_json_and_grid(tmp_path, capsys):
     }
     assert manifest["command"] == "eta"
     assert manifest["results"]["eta_hat"] == payload["eta_hat"]
+    assert set(payload) == {"eta_hat", "quad_order", "grid_size"}
     assert manifest["started_at"] is None
 
 
@@ -242,6 +243,52 @@ def test_config_file_flags_win(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["n"] == 32
+
+
+def test_config_file_loses_to_flag_equal_to_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    argv = ["simulate", "--model", "exact", "--n", "20", "--seed", "0"]
+    code, with_cfg = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    assert with_cfg == _run(capsys, argv)[1]
+    assert with_cfg != _run(capsys, ["simulate", "--model", "exact", "--n", "20", "--seed", "9"])[1]
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "20", "stream_id": 1, "no_timestamps": True}))
+    code, out = _run(capsys, ["simulate", "--model", "exact", "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["n"] == 20
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n": "twenty"}, "invalid int value"),
+        ({"n": 20.5}, "invalid int value"),
+        ({"law": "cauchy"}, "invalid choice"),
+        ({"bogus": 1}, "unrecognized arguments"),
+        ({"n": None}, "must be a string, a number or true"),
+        ([20], "JSON object"),
+    ],
+)
+def test_bad_config_value_exits_two(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert dispatch(["simulate", "--model", "exact", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["0.5", "-1", "nan"])
+def test_trunc_tol_out_of_range_exits_two(capsys, tol):
+    argv = ["simulate", "--model", "chain", "--n", "200", "--trunc-tol", tol]
+    assert dispatch(argv) == 2
+    assert "trunc_tol" in capsys.readouterr().err
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
