@@ -81,7 +81,7 @@ def test_expected_f_quadrature_self_convergence(rho):
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.25, 0.7, 0.95])
-def test_sign_of_w_does_not_change_the_expectation(rho):
+def test_sign_conventions_agree_in_quadrature(rho):
     # w is symmetric: the same tensor quadrature of F(rho, g, -w) gives E F
     x, wts = hermegauss(80)
     wts = wts / math.sqrt(2.0 * math.pi)
