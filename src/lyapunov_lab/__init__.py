@@ -16,6 +16,7 @@ from .chain import (
     apply_step,
     initial_state,
     run_chain,
+    run_chains,
     weighted_norm,
 )
 from .estimators import (
@@ -45,6 +46,7 @@ __all__ = [
     "apply_step",
     "initial_state",
     "run_chain",
+    "run_chains",
     "weighted_norm",
     "GrowthEstimate",
     "Method",

@@ -6,19 +6,23 @@ row, computes g = <row, z>, prepends g, and renormalizes; the log norm of
 the trajectory accumulates the per-step increment 0.5*log(1+g^2). Because
 the entries of z decay geometrically, a tiny trailing block can be dropped
 each step, giving bounded memory with an auditable error budget.
+
+run_chain steps one trajectory; run_chains steps several in lockstep as one
+array. Every sum over the coordinates is taken term by term in index order
+(_seq_sum), so a trajectory's numbers do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import alpha_bound
 from .errors import TruncationBudgetError
-from .laws import CoefficientLaw, RngStream, sample_row
+from .laws import CoefficientLaw, RngStream, draws, sample_row
 from .util import neumaier_add
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
     "apply_step",
     "weighted_norm",
     "run_chain",
+    "run_chains",
     "DEFAULT_TRUNC_TOL",
     "MAX_TRUNC_TOL",
 ]
@@ -87,6 +92,17 @@ def initial_state() -> NormalizedState:
     return NormalizedState(coords=np.array([1.0]), log_norm=0.0, dropped_mass=0.0, step=0)
 
 
+def _seq_sum(x: np.ndarray):
+    """Sum along axis 0, one term after another in index order.
+
+    np.add.reduce and the BLAS dot products switch to pairwise or blocked
+    orders that depend on the array's length and shape; an accumulate does
+    not, so a column of a (k, T) array sums to the same bits as the same
+    k values alone, for every T.
+    """
+    return np.add.accumulate(x, axis=0)[-1]
+
+
 def _truncate(coords: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Drop the longest trailing block of l2 mass < tol; keep >= 1 entry."""
     if tol <= 0.0 or coords.size < 2:
@@ -97,7 +113,8 @@ def _truncate(coords: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     tail_sq = 0.0
     j = 0
     for idx in range(coords.size - 1, 0, -1):
-        grown = tail_sq + float(coords[idx]) ** 2
+        x = float(coords[idx])
+        grown = tail_sq + x * x  # x * x, not x ** 2, which libm's pow may round otherwise
         if grown >= t2:
             break
         tail_sq = grown
@@ -108,7 +125,7 @@ def _truncate(coords: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     coords = coords[: coords.size - j]
     rem_sq = 1.0 - tail_sq
     if rem_sq < 1.0:  # only renormalize when the drop is visible in float64
-        coords = coords / np.linalg.norm(coords)
+        coords = coords / math.sqrt(_seq_sum(coords * coords))
     return coords, dropped
 
 
@@ -128,12 +145,12 @@ def _step(
     else:
         rng.seek_row(step)
         row = sample_row(law, rng, coords.size)
-    g = float(row @ coords)
+    g = float(_seq_sum(row * coords))
     inc = 0.5 * math.log1p(g * g)
     new = np.empty(coords.size + 1)
     new[0] = g
     new[1:] = coords
-    new /= math.sqrt(float(new @ new))
+    new /= math.sqrt(_seq_sum(new * new))
     new, dropped = _truncate(new, trunc_tol)
     return new, inc, dropped
 
@@ -167,9 +184,29 @@ def weighted_norm(state: NormalizedState, w: WeightParameter) -> float:
     """Exponentially weighted norm sqrt(sum_i e^(c i) z_i^2) of the state."""
     z = state.coords
     if w.c == 0.0:
-        return float(np.linalg.norm(z))
-    weights = np.exp(w.c * np.arange(z.size))
-    return math.sqrt(float(weights @ (z * z)))
+        return math.sqrt(_seq_sum(z * z))
+    return math.sqrt(_seq_sum(np.exp(w.c * np.arange(z.size)) * (z * z)))
+
+
+def _check_run(law: CoefficientLaw, n: int, w: WeightParameter, trunc_tol: float) -> float:
+    """Validate a run's parameters; returns its dropped-mass budget."""
+    if n < 100:
+        raise ValueError("n must be >= 100")
+    if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
+        raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
+    if w.c > 0.0:
+        sigma2, d4 = law.sigma2, law.fourth_moment
+        neg_log_alpha = -math.log(alpha_bound(sigma2, d4).alpha)
+        if w.c >= neg_log_alpha:
+            raise ValueError(
+                f"c={w.c} outside (0, {neg_log_alpha:.6f}), the valid range for these moments"
+            )
+    return 100.0 * trunc_tol * n
+
+
+def _check_budget(dropped: float, budget: float) -> None:
+    if dropped > budget:
+        raise TruncationBudgetError(f"dropped l2 mass {dropped:.3e} exceeds budget {budget:.3e}")
 
 
 def run_chain(
@@ -187,18 +224,7 @@ def run_chain(
     the regime where the weighted and plain rates provably agree.
     trunc_tol must lie in (0, MAX_TRUNC_TOL].
     """
-    if n < 100:
-        raise ValueError("n must be >= 100")
-    if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
-        raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
-    if w.c > 0.0:
-        sigma2, d4 = law.sigma2, law.fourth_moment
-        neg_log_alpha = -math.log(alpha_bound(sigma2, d4).alpha)
-        if w.c >= neg_log_alpha:
-            raise ValueError(
-                f"c={w.c} outside (0, {neg_log_alpha:.6f}), the valid range for these moments"
-            )
-    budget = 100.0 * trunc_tol * n
+    budget = _check_run(law, n, w, trunc_tol)
 
     coords = np.array([1.0])
     log_norm = 0.0
@@ -229,10 +255,7 @@ def run_chain(
             tail_acc[: coords.size] += np.abs(coords)
             tail_count += 1
 
-    if dropped_total > budget:
-        raise TruncationBudgetError(
-            f"dropped l2 mass {dropped_total:.3e} exceeds budget {budget:.3e}"
-        )
+    _check_budget(dropped_total, budget)
 
     final = NormalizedState(coords, log_norm, dropped_total, n, comp)
     return ChainRun(
@@ -245,3 +268,176 @@ def run_chain(
         c=w.c,
         trunc_tol=trunc_tol,
     )
+
+
+def run_chains(
+    law: CoefficientLaw,
+    n: int,
+    rngs: Sequence[RngStream],
+    w: WeightParameter = WeightParameter(0.0),
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
+) -> list[ChainRun]:
+    """run_chain on each stream of rngs; element j equals run_chain(law, n, rngs[j]) bit for bit.
+
+    From _LOCKSTEP_MIN streams on, the trajectories advance in lockstep as
+    one array (_lockstep), which costs less per trajectory than a
+    run_chain each; fewer run one after another through run_chain.
+    """
+    rngs = list(rngs)
+    if len(rngs) < _LOCKSTEP_MIN:
+        return [run_chain(law, n, rng, w, trunc_tol) for rng in rngs]
+    return _lockstep(law, n, rngs, w, trunc_tol)
+
+
+# Lockstep against run_chain one after another (both laws, n = 1e3 and 1e4,
+# 2-core x86-64, numpy 2.4): 1.23-1.37x the time at T = 2, 0.96-1.08x at
+# T = 3, 0.88-0.94x at T = 4.
+_LOCKSTEP_MIN = 4
+
+
+def _add_increments(gs: np.ndarray, out: np.ndarray, sums: list[tuple[float, float]]) -> None:
+    """Increments from the g values of consecutive steps, one column per trajectory.
+
+    Writes trajectory j's increments to out[j] and adds them in step order
+    to its Neumaier sum sums[j] = (log norm, compensation), as run_chain
+    does. Each increment is formed as _step forms it, with math.log1p:
+    np.log1p may round differently.
+    """
+    for j in range(gs.shape[1]):
+        incs = [0.5 * math.log1p(g * g) for g in gs[:, j].tolist()]
+        out[j] = incs
+        log_norm, comp = sums[j]
+        for inc in incs:
+            log_norm, comp = neumaier_add(log_norm, comp, inc)
+        sums[j] = (log_norm, comp)
+
+
+def _truncate_columns(z: np.ndarray, support: np.ndarray, tol: float, dropped: np.ndarray) -> bool:
+    """_truncate on each column of z in place; True if any column lost coordinates.
+
+    Column j holds support[j] coordinates and zeros below them. The walk
+    of _truncate drops nothing unless the last coordinate's square is
+    below tol^2, so only those columns go to _truncate. Lowers support and
+    adds each column's dropped mass to dropped.
+    """
+    last = z[support - 1, np.arange(z.shape[1])]
+    walks = np.flatnonzero(last * last < tol * tol).tolist()
+    for j in walks:
+        col = z[: support[j], j]
+        kept, d = _truncate(col, tol)
+        col[: kept.size] = kept
+        col[kept.size :] = 0.0
+        support[j] = kept.size
+        dropped[j] += d
+    return bool(walks)
+
+
+_INCREMENT_CHUNK = 1 << 16  # g values held before they become increments
+_LOCKSTEP_ROWS = 512  # initial buffer rows; the live block settles near 130-180
+
+
+def _lockstep(
+    law: CoefficientLaw,
+    n: int,
+    rngs: list[RngStream],
+    w: WeightParameter,
+    trunc_tol: float,
+) -> list[ChainRun]:
+    """The steps of run_chain for T trajectories at once.
+
+    The coordinates sit newest first in one (capacity, T) buffer with a
+    shared front row: trajectory j holds z in rows front .. front +
+    support[j] - 1 of column j and zeros below, so a prepend writes one row
+    and moves nothing. Each step draws every trajectory's row at its own
+    length, then one array operation each forms the products, the sums
+    <row, z>, the norms, the renormalization, the tail sums and the
+    checkpoint norms. Entries past a trajectory's support are zero and add
+    exact zeros to its sums, which _seq_sum takes in index order, so every
+    column comes out as run_chain computes it alone. The _truncate walk
+    runs on the columns whose last coordinate could be dropped.
+    """
+    budget = _check_run(law, n, w, trunc_tol)
+    count = len(rngs)
+    cap = min(n + 1, _LOCKSTEP_ROWS)
+    zbuf = np.zeros((cap, count))
+    words = np.zeros((count, cap), dtype=np.uint64)
+    tail_acc = np.zeros((cap, count))
+    weights = np.exp(w.c * np.arange(cap))[:, None]
+    front = cap - 1
+    zbuf[front] = 1.0
+    support = np.ones(count, dtype=np.intp)
+    kmax = 1
+    tail_len = np.zeros(count, dtype=np.intp)
+    dropped = np.zeros(count)
+    increments = np.empty((count, n))
+    sums = [(0.0, 0.0)] * count
+    chunk = min(n, max(1, _INCREMENT_CHUNK // count))
+    gs = np.empty((chunk, count))  # g of the steps not yet in increments
+
+    stride = max(1, n // 100)
+    ckpt_steps: list[int] = []
+    norms: list[np.ndarray] = []
+    half = n // 2
+
+    for t in range(n):
+        for j, k in enumerate(support.tolist()):
+            words[j, :k] = rngs[j].row_words(t, k)
+        z = zbuf[front : front + kmax]
+        g = gs[t % chunk]
+        g[:] = _seq_sum(draws(law, words[:, :kmax]).T * z)
+
+        if front == 0:  # move the live block to the bottom, doubling the buffer if it is half full
+            if 2 * kmax > cap:
+                cap *= 2
+                zbuf = np.concatenate([np.zeros((cap - kmax, count)), zbuf[:kmax]])
+                words = np.concatenate([words, np.zeros_like(words)], axis=1)
+                tail_acc = np.concatenate([tail_acc, np.zeros_like(tail_acc)])
+                weights = np.exp(w.c * np.arange(cap))[:, None]
+            else:
+                zbuf[cap - kmax :] = zbuf[:kmax]
+            front = cap - kmax
+        front -= 1
+        zbuf[front] = g
+        support += 1
+        kmax += 1
+        z = zbuf[front : front + kmax]
+        z /= np.sqrt(_seq_sum(z * z))
+
+        if _truncate_columns(z, support, trunc_tol, dropped):
+            kmax = int(support.max())
+            z = zbuf[front : front + kmax]
+
+        step = t + 1
+        pending = t % chunk + 1
+        if pending == chunk or step == n:
+            _add_increments(gs[:pending], increments[:, step - pending : step], sums)
+        if step % stride == 0:
+            ckpt_steps.append(step)
+            zz = z * z
+            norms.append(np.sqrt(_seq_sum(zz if w.c == 0.0 else weights[:kmax] * zz)))
+        if step > half:
+            tail_acc[:kmax] += np.abs(z)
+            np.maximum(tail_len, support, out=tail_len)
+
+    for d in dropped.tolist():
+        _check_budget(d, budget)
+
+    tail_count = n - half
+    # math.log, as run_chain takes it: np.log may round differently
+    offsets = np.array([[math.log(x) for x in col] for col in np.array(norms).T.tolist()])
+    runs = []
+    for j, (log_norm, comp) in enumerate(sums):
+        coords = zbuf[front : front + support[j], j].copy()
+        runs.append(
+            ChainRun(
+                increments=increments[j],
+                checkpoint_steps=np.array(ckpt_steps, dtype=np.int64),
+                weighted_offsets=offsets[j],
+                tail_means=tail_acc[: tail_len[j], j] / tail_count,
+                final_state=NormalizedState(coords, log_norm, float(dropped[j]), n, comp),
+                law=law,
+                c=w.c,
+                trunc_tol=trunc_tol,
+            )
+        )
+    return runs

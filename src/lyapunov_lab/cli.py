@@ -125,18 +125,19 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     return results, files
 
 
+def _chain_estimate(args, run: chain.ChainRun) -> estimators.GrowthEstimate:
+    est = estimators.gamma_from_increments(run.increments, args.batch_length)
+    if args.c > 0.0:
+        offset = float(run.weighted_offsets[-1]) / args.n
+        est = estimators.GrowthEstimate(
+            est.gamma_hat + offset, est.stderr, est.n_steps, 1, estimators.Method.WEIGHTED_NORM
+        )
+    return est
+
+
 def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
+    """One trajectory of a recursion model; chain trajectories run together in _cmd_gamma."""
     rng = RngStream(args.seed, stream)
-    if args.model == "chain":
-        law = law_from_name(args.law)
-        run = chain.run_chain(law, args.n, rng, w=chain.WeightParameter(args.c))
-        est = estimators.gamma_from_increments(run.increments, args.batch_length)
-        if args.c > 0.0:
-            offset = float(run.weighted_offsets[-1]) / args.n
-            est = estimators.GrowthEstimate(
-                est.gamma_hat + offset, est.stderr, est.n_steps, 1, estimators.Method.WEIGHTED_NORM
-            )
-        return est
     if args.model == "exact":
         traj = recursion.run_exact(args.n, rng)
         return estimators.gamma_from_last_coordinate(traj.log_abs_series(), args.window_fraction)
@@ -153,7 +154,12 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
     _require_n(args)
-    ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories), args.threads)
+    if args.model == "chain":
+        rngs = [RngStream(args.seed, j) for j in range(args.trajectories)]
+        runs = chain.run_chains(law_from_name(args.law), args.n, rngs, chain.WeightParameter(args.c))
+        ests = [_chain_estimate(args, run) for run in runs]
+    else:
+        ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories), args.threads)
     est = estimators.pool_estimates(ests)
     results = {
         "gamma_hat": est.gamma_hat,
@@ -255,9 +261,27 @@ def _cmd_verify(args) -> tuple[dict, dict]:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
     p.add_argument("--seed", type=int, default=seed_default, help="64-bit unsigned seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads; never changes results")
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help=(
+            "worker threads for the vt, exact, alpha Monte Carlo and coupling ensembles; "
+            "chain ensembles run as one lockstep array in one thread; never changes results"
+        ),
+    )
     p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")
     p.add_argument("--config", type=str, default=None, help="JSON file of parameter defaults; flags win")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")
@@ -359,9 +383,25 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
+def _join_coeffs(argv: list[str]) -> list[str]:
+    """argv with `--coeffs -5,3` written as `--coeffs=-5,3`.
+
+    argparse takes a separate value that starts with a minus sign and is
+    not a plain number for an option, and then finds --coeffs without one.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--coeffs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's flags go in before the command line's, so typed flags win."""
     parser = build_parser()
+    argv = _join_coeffs(argv)
     args = parser.parse_args(argv)
     if args.config:
         at = argv.index(args.command) + 1

@@ -2,7 +2,7 @@
 
 
 class MemoryBudgetError(RuntimeError):
-    """Exact integer simulation asked to run past its configured step cap."""
+    """A quadratic-cost simulation (exact integers, division recursion) asked to run past its step cap."""
 
 
 class DegenerateDivisorError(RuntimeError):

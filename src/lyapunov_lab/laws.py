@@ -26,6 +26,7 @@ __all__ = [
     "sample",
     "sample_row",
     "sample_rows",
+    "draws",
     "ROW_STRIDE",
     "ROW_CHUNK",
 ]
@@ -104,6 +105,7 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
 _S32 = np.uint64(32)
 _BLOCKS_PER_ROW = ROW_STRIDE // _BLOCK
 
@@ -132,9 +134,12 @@ def _philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=1)
 
 
+_SIGN_OF_TOP_BIT = np.array([1.0, -1.0])
+
+
 def _signs(w: np.ndarray) -> np.ndarray:
     """-1.0 where the word's top bit is set, +1.0 elsewhere."""
-    return 1.0 - 2.0 * (w >> np.uint64(63))
+    return _SIGN_OF_TOP_BIT.take(w >> np.uint64(63))  # a lookup: half the cost of 1 - 2 * bit
 
 
 def _uniforms(w: np.ndarray) -> np.ndarray:
@@ -152,7 +157,7 @@ class RngStream:
     per-step row addressing costs nothing beyond a counter jump.
     """
 
-    __slots__ = ("seed", "stream_id", "counter", "_bg", "_bg_block")
+    __slots__ = ("seed", "stream_id", "counter", "_bg", "_bg_block", "_state")
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
@@ -164,6 +169,7 @@ class RngStream:
         self.counter = int(counter)
         self._bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         self._bg_block = 0
+        self._state = self._bg.state  # template for _jump; its buffer is empty
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
@@ -191,16 +197,44 @@ class RngStream:
         start_block, off = divmod(self.counter, _BLOCK)
         nblocks = (off + k + _BLOCK - 1) // _BLOCK
         if self._bg_block != start_block:
-            if start_block > self._bg_block:
-                self._bg.advance(start_block - self._bg_block)
-            else:
-                self._bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-                if start_block:
-                    self._bg.advance(start_block)
+            self._jump(start_block)
         raw = self._bg.random_raw(nblocks * _BLOCK)
         self._bg_block = start_block + nblocks
         self.counter += k
         return raw[off : off + k]
+
+    def row_words(self, row: int, k: int) -> np.ndarray:
+        """The first k words of per-step row `row`.
+
+        Equal bit for bit to seek_row(row) followed by words(k), and leaves
+        the stream where they would, with one call instead of two; the
+        lockstep chain engine draws each trajectory's row this way.
+        """
+        if row < 0 or k < 0:
+            raise ValueError("row and k must be nonnegative")
+        start_block = row * _BLOCKS_PER_ROW
+        nblocks = (k + _BLOCK - 1) // _BLOCK
+        self._jump(start_block)
+        raw = self._bg.random_raw(nblocks * _BLOCK)
+        self._bg_block = start_block + nblocks
+        self.counter = row * ROW_STRIDE + k
+        return raw[:k]
+
+    def _jump(self, block: int) -> None:
+        """Make `block` the next Philox block the generator emits.
+
+        numpy's Philox increments its counter before each block, so block b
+        comes from counter value b + 1, and the 256-bit counter is set to b
+        (mod 2^256, as Philox.advance wraps). Setting the state costs about
+        half of an advance and goes back as easily as forward.
+        """
+        state = self._state  # its counter's high limbs stay 0
+        if block >> 64:
+            limbs = [(block >> s) & _MASK64 for s in (0, 64, 128, 192)]
+            state = {**state, "state": {**state["state"], "counter": np.array(limbs, dtype=np.uint64)}}
+        else:
+            state["state"]["counter"][0] = block
+        self._bg.state = state
 
     def rows(self, first: int, count: int, k: int) -> np.ndarray:
         """The first k words of rows first .. first+count-1, shape (count, k).
@@ -258,7 +292,15 @@ def sample_rows(law: CoefficientLaw, rng: RngStream, first: int, count: int, k: 
     Equal bit for bit to seek_row(r) + sample_row(law, rng, k) for each r;
     the stream's counter does not move (see RngStream.rows).
     """
-    w = rng.rows(first, count, k)
+    return draws(law, rng.rows(first, count, k))
+
+
+def draws(law: CoefficientLaw, w: np.ndarray) -> np.ndarray:
+    """The law's draws from raw words, one word each, in the shape of w.
+
+    A sign is the word's top bit and a normal the inverse normal CDF of
+    its top 53 bits, as in sample_row.
+    """
     if law.kind is LawKind.RADEMACHER_BERNOULLI:
         return _signs(w)
     return ndtri(_uniforms(w))

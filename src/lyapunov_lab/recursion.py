@@ -34,9 +34,11 @@ __all__ = [
     "run_vt",
     "run_fibonacci",
     "EXACT_STEP_CAP",
+    "VT_STEP_CAP",
 ]
 
 EXACT_STEP_CAP = 4096  # exact mode is a validation oracle, not a production path
+VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 1 s, 2e4 about 4 s
 
 SignOverride = Union[int, Sequence[int], None]
 
@@ -171,15 +173,19 @@ def run_exact_float(
     return FloatTrajectory(log_scale=log_scale, scaled_values=vals, n=n)
 
 
-def run_vt(n: int, rng: RngStream, renorm_log2: int = 64) -> np.ndarray:
+def run_vt(n: int, rng: RngStream, renorm_log2: int = 64, step_cap: int = VT_STEP_CAP) -> np.ndarray:
     """Gaussian division recursion; returns log sum of squares at k = 0..n.
 
     Entry k is log(t[0]^2 + ... + t[k]^2). The state is renormalized
     whenever the newest |t| leaves [2^-renorm_log2, 2^renorm_log2];
-    renorm_log2 exists so tests can vary the cadence.
+    renorm_log2 exists so tests can vary the cadence. Time is O(n^2), so
+    n is capped (default VT_STEP_CAP); raise the cap explicitly if you
+    accept the cost.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > step_cap:
+        raise MemoryBudgetError(f"n={n} exceeds the O(n^2) division-recursion cap {step_cap}")
     hi = 2.0**renorm_log2
     t = np.empty(n + 1)
     t[0] = 1.0

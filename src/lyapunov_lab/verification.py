@@ -93,8 +93,12 @@ gaussian.eta takes the grid maximum without refining it, which is safe
 only while E F is flat in rho (the spread is 7.8e-9 at 80 nodes, 201 rhos)."""
 
 
-def check_eta_value(quad_order: int = 80, grid_size: int = 201) -> CheckResult:
-    res = gaussian.eta(quad_order, grid_size)
+def check_eta_value(
+    quad_order: int = 80, grid_size: int = 201, res: gaussian.EtaResult | None = None
+) -> CheckResult:
+    """res, when given, is gaussian.eta(quad_order, grid_size) computed by the caller."""
+    if res is None:
+        res = gaussian.eta(quad_order, grid_size)
     closed = _eta_closed_form()
     spread = float(res.mean_f.max() - res.mean_f.min())
     return CheckResult(
@@ -110,8 +114,11 @@ def check_eta_value(quad_order: int = 80, grid_size: int = 201) -> CheckResult:
     )
 
 
-def check_eta_negative(quad_order: int = 80, grid_size: int = 201) -> CheckResult:
-    res = gaussian.eta(quad_order, grid_size)
+def check_eta_negative(
+    quad_order: int = 80, grid_size: int = 201, res: gaussian.EtaResult | None = None
+) -> CheckResult:
+    if res is None:
+        res = gaussian.eta(quad_order, grid_size)
     return CheckResult(
         name="eta_negative",
         expected="< 0",
@@ -269,21 +276,19 @@ def tail_statistics(
 
     Returns per-index across-chain means, standard errors, the alpha powers,
     and the worst violation z-score max_i (mean_i - alpha^i) / se_i. The
-    standard errors need at least two chains.
+    standard errors need at least two chains. The chains run in lockstep
+    (chain.run_chains) in this thread, so `threads` has no effect; it stays
+    for the callers that pass it.
     """
     if chains < 2:
         raise ValueError(f"chains must be >= 2 for a standard error, got {chains}")
     alpha = bounds.alpha_bound(law.sigma2, law.fourth_moment).alpha
-
-    def one(j: int) -> np.ndarray:
-        run = chain.run_chain(law, n, RngStream(seed, stream_base + j), trunc_tol=trunc_tol)
-        tm = run.tail_means
-        out = np.zeros(max_index + 1)
-        m = min(tm.size, max_index + 1)
-        out[:m] = tm[:m]
-        return out
-
-    rows = np.stack(ordered_map(one, range(chains), threads))
+    rngs = [RngStream(seed, stream_base + j) for j in range(chains)]
+    runs = chain.run_chains(law, n, rngs, trunc_tol=trunc_tol)
+    rows = np.zeros((chains, max_index + 1))
+    for row, run in zip(rows, runs):
+        tm = run.tail_means[: max_index + 1]
+        row[: tm.size] = tm
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / math.sqrt(chains)
     powers = alpha ** np.arange(max_index + 1)
@@ -304,9 +309,8 @@ def check_corollary8_tails(
     n: int = 1000,
     chains: int = 1000,
     max_index: int = 50,
-    threads: int = 1,
 ) -> CheckResult:
-    stats = tail_statistics(BERNOULLI, n, chains, seed, max_index, threads=threads)
+    stats = tail_statistics(BERNOULLI, n, chains, seed, max_index)
     return CheckResult(
         name="corollary8_tails",
         expected="mean |z_i| <= alpha^i + 3 se_i, i <= 50",
@@ -465,15 +469,10 @@ def check_gaussian_rate(
     n: int = 1_000_000,
     trajectories: int = 4,
     quad_order: int = 80,
-    threads: int = 1,
 ) -> CheckResult:
     lam = gaussian.gaussian_log_moments(quad_order).lambda_v
-
-    def one(j: int) -> np.ndarray:
-        run = chain.run_chain(GAUSSIAN, n, RngStream(seed, 400 + j))
-        return run.increments
-
-    incs = np.concatenate(ordered_map(one, range(trajectories), threads))
+    runs = chain.run_chains(GAUSSIAN, n, [RngStream(seed, 400 + j) for j in range(trajectories)])
+    incs = np.concatenate([run.increments for run in runs])
     est = estimators.gamma_from_increments(incs)
     z = (est.gamma_hat - lam) / est.stderr
     return CheckResult(
@@ -562,10 +561,14 @@ def check_exact_determinism(seed: int = DEFAULT_SEED, threads: int = 1) -> Check
 # suites
 
 
-def suite_paper_constants(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
+# Each suite gets the 201-point quadrature scan gaussian.eta(80, 201) that
+# the eta and coupling checks share, so `--suite all` computes it once.
+
+
+def suite_paper_constants(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
     return [
-        check_eta_value(),
-        check_eta_negative(),
+        check_eta_value(res=eta),
+        check_eta_negative(res=eta),
         check_chi2_log_moment(),
         check_alpha_closed_form(),
         check_vt_log4(seed, threads=threads),
@@ -573,24 +576,23 @@ def suite_paper_constants(seed: int = DEFAULT_SEED, threads: int = 1) -> list[Ch
     ]
 
 
-def suite_inequalities(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
+def suite_inequalities(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
     return [
         check_alpha_two_coord_enum(),
         check_alpha_dominates_mc(seed, threads=threads),
-        check_corollary8_tails(seed, threads=threads),
+        check_corollary8_tails(seed),
         check_lo_bruteforce(seed),
         check_lo_erdos(),
         check_lo_sarkozy_echo(),
     ]
 
 
-def suite_consistency(seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
-    eta_hat = gaussian.eta().eta_hat
+def suite_consistency(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
     return [
         check_theorem1_rates(seed, threads=threads),
         check_theorem9_weighted(seed, threads=threads),
-        check_gaussian_rate(seed, threads=threads),
-        check_coupling_contraction(seed, threads=threads, eta_hat=eta_hat),
+        check_gaussian_rate(seed),
+        check_coupling_contraction(seed, threads=threads, eta_hat=eta.eta_hat),
         check_exact_determinism(seed, threads=threads),
     ]
 
@@ -603,11 +605,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
-    if name == "all":
-        out: list[CheckResult] = []
-        for fn in SUITES.values():
-            out.extend(fn(seed, threads))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed, threads)
+    eta = gaussian.eta(80, 201)
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [check for suite in suites for check in suite(seed, threads, eta)]

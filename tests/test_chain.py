@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from lyapunov_lab import chain
 from lyapunov_lab.chain import (
+    DEFAULT_TRUNC_TOL,
     MAX_TRUNC_TOL,
     NormalizedState,
     WeightParameter,
     apply_step,
     initial_state,
     run_chain,
+    run_chains,
     weighted_norm,
 )
+from lyapunov_lab.errors import TruncationBudgetError
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
 from lyapunov_lab.recursion import run_exact
 
@@ -148,3 +152,76 @@ def test_run_chain_accepts_largest_trunc_tol():
 def test_row_override_size_mismatch():
     with pytest.raises(ValueError):
         apply_step(initial_state(), BERNOULLI, None, row_override=np.array([1.0, -1.0]))
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a.checkpoint_steps, b.checkpoint_steps)
+    assert np.array_equal(a.weighted_offsets, b.weighted_offsets)
+    assert np.array_equal(a.tail_means, b.tail_means)
+    fa, fb = a.final_state, b.final_state
+    assert np.array_equal(fa.coords, fb.coords)
+    assert fa.log_norm == fb.log_norm
+    assert fa.log_norm_comp == fb.log_norm_comp
+    assert fa.dropped_mass == fb.dropped_mass
+    assert fa.step == fb.step
+
+
+def _streams(seed, count):
+    return [RngStream(seed, 40 + j) for j in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("count", [1, 2, 8, 16])
+@pytest.mark.parametrize("c", [0.0, 0.005])
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_run_chains_equals_run_chain_bit_for_bit(law, c, count, n, seed):
+    w = WeightParameter(c)
+    runs = run_chains(law, n, _streams(seed, count), w)
+    # the lockstep engine itself, also below _LOCKSTEP_MIN trajectories, where run_chains uses run_chain
+    lockstep = chain._lockstep(law, n, _streams(seed, count), w, DEFAULT_TRUNC_TOL)
+    assert len(runs) == len(lockstep) == count
+    for j in range(count):
+        ref = run_chain(law, n, RngStream(seed, 40 + j), w)
+        _assert_same_run(runs[j], ref)
+        _assert_same_run(lockstep[j], ref)
+
+
+@pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
+def test_run_chains_matches_through_truncation_and_buffer_moves(trunc_tol):
+    # n > 1024 rows moves the live block to the bottom of the buffer; the
+    # support rises from e0 and then shrinks whenever _truncate drops a tail
+    n = 2500
+    runs = run_chains(BERNOULLI, n, _streams(5, 4), trunc_tol=trunc_tol)
+    for j, run in enumerate(runs):
+        ref = run_chain(BERNOULLI, n, RngStream(5, 40 + j), trunc_tol=trunc_tol)
+        _assert_same_run(run, ref)
+        assert run.final_state.dropped_mass > 0.0
+        assert run.final_state.coords.size < 200  # of the n + 1 the support would reach untruncated
+
+
+def test_run_chains_matches_when_the_buffer_grows(monkeypatch):
+    monkeypatch.setattr(chain, "_LOCKSTEP_ROWS", 16)
+    monkeypatch.setattr(chain, "_INCREMENT_CHUNK", 28)  # chunks of 7 steps: 600 end inside one
+    for c in (0.0, 0.005):
+        runs = run_chains(GAUSSIAN, 600, _streams(9, 4), WeightParameter(c))
+        for j, run in enumerate(runs):
+            _assert_same_run(run, run_chain(GAUSSIAN, 600, RngStream(9, 40 + j), WeightParameter(c)))
+
+
+def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
+    with pytest.raises(ValueError, match="n must be"):
+        run_chains(BERNOULLI, 99, _streams(0, 4))
+    with pytest.raises(ValueError, match="trunc_tol"):
+        run_chains(BERNOULLI, 100, _streams(0, 4), trunc_tol=1e-7)
+    with pytest.raises(ValueError, match="c="):
+        run_chains(BERNOULLI, 100, _streams(0, 4), WeightParameter(0.02))
+    assert run_chains(BERNOULLI, 100, []) == []
+    # a budget no drop fits: every trajectory's dropped mass is checked against it
+    real = chain._check_run
+    monkeypatch.setattr(chain, "_check_run", lambda *args: real(*args) * 1e-300)
+    with pytest.raises(TruncationBudgetError):
+        run_chain(BERNOULLI, 300, RngStream(0, 40))
+    with pytest.raises(TruncationBudgetError):
+        run_chains(BERNOULLI, 300, _streams(0, 4))

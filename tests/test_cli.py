@@ -226,6 +226,45 @@ def test_exact_step_cap_maps_to_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_vt_step_cap_maps_to_usage_error(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code = dispatch(["gamma", "--model", "vt", "--law", "gaussian", "--n", "100000"])
+    assert code == 2
+    assert time.perf_counter() - t0 < 5.0  # refused before any step runs
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--model", "chain", "--n", "200"], ["tails", "--n", "200"]])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_two(capsys, argv, threads):
+    assert dispatch(argv + ["--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads: must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--coeffs", "-5,3"], ["--coeffs=-5,3"], ["--seed", "4", "--coeffs", "-5,3,-2"]])
+def test_lo_coefficients_may_start_with_a_minus_sign(capsys, argv):
+    code, out = _run(capsys, ["lo"] + argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coefficients"][:2] == [-5, 3]
+    assert payload["max_atom"] == ("1/2^2" if payload["k"] == 2 else "2/2^3")
+
+
+def test_tails_threads_do_not_change_results(tmp_path, capsys):
+    outs = []
+    for threads in ("1", "4"):
+        out_dir = tmp_path / threads
+        argv = ["tails", "--n", "300", "--chains", "6", "--seed", "12", "--out", str(out_dir), "--no-timestamps"]
+        code, out = _run(capsys, argv + ["--threads", threads])
+        assert code == 0
+        outs.append((out, (out_dir / "tails.csv").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_config_file_fills_missing_parameters(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 64, "seed": 9}))
@@ -309,3 +348,38 @@ def test_verify_exit_codes(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] bad" in out
     assert dispatch(["verify", "--suite", "bogus"]) == 2
+
+
+def test_verify_all_computes_eta_once(monkeypatch, capsys):
+    from lyapunov_lab import gaussian
+
+    calls = []
+    real_eta = gaussian.eta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_eta(*args, **kwargs)
+
+    def stub(name):
+        return lambda *args, **kwargs: verification.CheckResult(name, "x", "x", "0", True)
+
+    coupling_eta = []
+
+    def coupling(*args, eta_hat=None, **kwargs):
+        coupling_eta.append(eta_hat)
+        return stub("coupling_contraction")()
+
+    # the simulation-heavy checks are stubbed; the eta checks run for real
+    for name in (
+        "check_vt_log4", "check_fib_rate", "check_alpha_dominates_mc", "check_corollary8_tails",
+        "check_lo_bruteforce", "check_theorem1_rates", "check_theorem9_weighted",
+        "check_gaussian_rate", "check_exact_determinism",
+    ):
+        monkeypatch.setattr(verification, name, stub(name))
+    monkeypatch.setattr(verification, "check_coupling_contraction", coupling)
+    monkeypatch.setattr(gaussian, "eta", counted)
+    assert dispatch(["verify", "--suite", "all"]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert "[PASS] eta_value" in out and "[PASS] eta_negative" in out
+    assert coupling_eta == [real_eta(80, 201).eta_hat]

@@ -12,6 +12,7 @@ from lyapunov_lab.laws import (
     CoefficientLaw,
     LawKind,
     RngStream,
+    draws,
     law_from_name,
     law_moments,
     sample,
@@ -188,3 +189,42 @@ def test_rows_empty_and_rejected():
     for args in ((-1, 1, 2), (0, -1, 2), (0, 1, -1)):
         with pytest.raises(ValueError):
             rng.rows(*args)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_row_words_match_seek_row_and_words(seed):
+    rng = RngStream(seed, 9)
+    # forward, backward, repeated and far rows, at lengths across block edges
+    for row, k in ((3, 5), (1, 4), (1, 4), (0, 1), (2**34 - 1, 130), (70, 0), (7, 128)):
+        got = rng.row_words(row, k)
+        ref = RngStream(seed, 9)
+        ref.seek_row(row)
+        assert np.array_equal(got, ref.words(k))
+        assert rng.counter == row * ROW_STRIDE + k
+        # the stream goes on from there as seek_row + words would leave it
+        assert np.array_equal(rng.words(3), ref.words(3))
+    with pytest.raises(ValueError):
+        rng.row_words(-1, 2)
+    with pytest.raises(ValueError):
+        rng.row_words(0, -2)
+
+
+def test_words_match_philox_advance_at_wide_counters():
+    from numpy.random import Philox
+
+    # block positions past the counter's low 64-bit limb, and back down again
+    for block in (5, 2**64 - 1, 2**64 + 3, 2**130 + 7, 12):
+        rng = RngStream(8, 2, counter=block * 4 + 1)
+        ref = Philox(key=np.array([8, 2], dtype=np.uint64))
+        ref.advance(block)
+        assert np.array_equal(rng.words(9), ref.random_raw(12)[1:10])
+
+
+def test_draws_map_words_like_sample_row():
+    rng = RngStream(4, 1)
+    for law in (BERNOULLI, GAUSSIAN):
+        rng.seek_row(6)
+        w = rng.words(11)
+        rng.seek_row(6)
+        assert np.array_equal(draws(law, w), sample_row(law, rng, 11))
+        assert draws(law, np.stack([w, w])).shape == (2, 11)

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from lyapunov_lab.errors import MemoryBudgetError
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
-from lyapunov_lab.recursion import run_exact, run_exact_float, run_fibonacci, run_vt
+from lyapunov_lab.recursion import VT_STEP_CAP, run_exact, run_exact_float, run_fibonacci, run_vt
 from lyapunov_lab.util import log_abs_bigint
 from lyapunov_lab.verification import GAMMA_FIB_ORACLE
 
@@ -62,6 +62,13 @@ def test_parity_invariant_any_signs(signs):
     for k in range(1, len(values)):
         assert (values[k] - running) % 2 == 0
         running += values[k]
+
+
+def test_vt_step_cap():
+    with pytest.raises(MemoryBudgetError):
+        run_vt(VT_STEP_CAP + 1, RngStream(0))
+    assert VT_STEP_CAP >= 10_000  # check_vt_log4 and growth_rate_survey.py run n = 10,000
+    assert run_vt(5, RngStream(0), step_cap=5).size == 6  # explicit cap override works
 
 
 def test_exact_step_cap():
