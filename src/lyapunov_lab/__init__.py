@@ -15,6 +15,7 @@ from .chain import (
     WeightParameter,
     apply_step,
     initial_state,
+    iter_chains,
     run_chain,
     run_chains,
     weighted_norm,
@@ -45,6 +46,7 @@ __all__ = [
     "WeightParameter",
     "apply_step",
     "initial_state",
+    "iter_chains",
     "run_chain",
     "run_chains",
     "weighted_norm",

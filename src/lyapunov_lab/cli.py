@@ -156,7 +156,7 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
     _require_n(args)
     if args.model == "chain":
         rngs = [RngStream(args.seed, j) for j in range(args.trajectories)]
-        runs = chain.run_chains(law_from_name(args.law), args.n, rngs, chain.WeightParameter(args.c))
+        runs = chain.iter_chains(law_from_name(args.law), args.n, rngs, chain.WeightParameter(args.c))
         ests = [_chain_estimate(args, run) for run in runs]
     else:
         ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories), args.threads)

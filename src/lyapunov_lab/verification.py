@@ -277,16 +277,15 @@ def tail_statistics(
     Returns per-index across-chain means, standard errors, the alpha powers,
     and the worst violation z-score max_i (mean_i - alpha^i) / se_i. The
     standard errors need at least two chains. The chains run in lockstep
-    (chain.run_chains) in this thread, so `threads` has no effect; it stays
+    (chain.iter_chains) in this thread, so `threads` has no effect; it stays
     for the callers that pass it.
     """
     if chains < 2:
         raise ValueError(f"chains must be >= 2 for a standard error, got {chains}")
     alpha = bounds.alpha_bound(law.sigma2, law.fourth_moment).alpha
     rngs = [RngStream(seed, stream_base + j) for j in range(chains)]
-    runs = chain.run_chains(law, n, rngs, trunc_tol=trunc_tol)
     rows = np.zeros((chains, max_index + 1))
-    for row, run in zip(rows, runs):
+    for row, run in zip(rows, chain.iter_chains(law, n, rngs, trunc_tol=trunc_tol)):
         tm = run.tail_means[: max_index + 1]
         row[: tm.size] = tm
     means = rows.mean(axis=0)

@@ -210,6 +210,15 @@ def test_run_chains_matches_when_the_buffer_grows(monkeypatch):
             _assert_same_run(run, run_chain(GAUSSIAN, 600, RngStream(9, 40 + j), WeightParameter(c)))
 
 
+def test_iter_chains_batches_streams(monkeypatch):
+    # batches of 5, 5 and 1: two in lockstep and the last through run_chain
+    monkeypatch.setattr(chain, "_LOCKSTEP_MAX", 5)
+    runs = chain.iter_chains(BERNOULLI, 200, _streams(6, 11))
+    for j in range(11):
+        _assert_same_run(next(runs), run_chain(BERNOULLI, 200, RngStream(6, 40 + j)))
+    assert next(runs, None) is None
+
+
 def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
     with pytest.raises(ValueError, match="n must be"):
         run_chains(BERNOULLI, 99, _streams(0, 4))
