@@ -289,42 +289,57 @@ def iter_chains(
     w: WeightParameter = WeightParameter(0.0),
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> Iterator[ChainRun]:
-    """The runs of run_chains one by one, computed _LOCKSTEP_MAX streams at a time.
+    """The runs of run_chains one by one, computed a batch of streams at a time.
 
-    A batch of _LOCKSTEP_MIN or more streams advances in lockstep as one
-    array (_lockstep), which costs less per trajectory than a run_chain
-    each; a smaller one runs through run_chain. A caller that keeps less
-    than a whole ChainRun holds at most one batch of runs at once.
+    A batch holds at most _LOCKSTEP_MAX streams and at most
+    _LOCKSTEP_WORDS increments (streams x n). One of _LOCKSTEP_MIN or more
+    streams advances in lockstep as one array (_lockstep), which costs less
+    per trajectory than a run_chain each; a smaller one runs through
+    run_chain. A caller that keeps less than a whole ChainRun holds at most
+    one batch of runs at once.
     """
     rngs = list(rngs)
-    for first in range(0, len(rngs), _LOCKSTEP_MAX):
-        batch = rngs[first : first + _LOCKSTEP_MAX]
+    size = _batch_size(n)
+    for first in range(0, len(rngs), size):
+        batch = rngs[first : first + size]
         if len(batch) < _LOCKSTEP_MIN:
             yield from (run_chain(law, n, rng, w, trunc_tol) for rng in batch)
         else:
             yield from _lockstep(law, n, batch, w, trunc_tol)
 
 
+def _batch_size(n: int) -> int:
+    """Streams per batch of iter_chains at n steps."""
+    return max(1, min(_LOCKSTEP_MAX, _LOCKSTEP_WORDS // max(n, 1)))
+
+
 # Lockstep against run_chain one after another (both laws, n = 1e3 and 1e4,
 # 2-core x86-64, numpy 2.4): 1.23-1.37x the time at T = 2, 0.96-1.08x at
 # T = 3, 0.88-0.94x at T = 4.
 _LOCKSTEP_MIN = 4
-# Bounds the working arrays (a few MB per 1000 trajectories) and the runs
-# held at once; per trajectory, 1000 in lockstep cost half of what 16 do.
+# Bounds the working arrays, whose rows follow the support and not n (a few
+# MB per 1000 trajectories); per trajectory, 1000 in lockstep cost half of
+# what 16 do.
 _LOCKSTEP_MAX = 1024
+# Bounds the increments a batch holds, T x n float64 words (32 MB). Past
+# n = 2^20 a batch has fewer than _LOCKSTEP_MIN streams and the runs go one
+# at a time through run_chain, holding one run's increments as it does.
+_LOCKSTEP_WORDS = 1 << 22
 
 
-def _add_increments(gs: np.ndarray, out: np.ndarray, sums: list[tuple[float, float]]) -> None:
+def _add_increments(
+    gs: np.ndarray, out: list[np.ndarray], start: int, sums: list[tuple[float, float]]
+) -> None:
     """Increments from the g values of consecutive steps, one column per trajectory.
 
-    Writes trajectory j's increments to out[j] and adds them in step order
-    to its Neumaier sum sums[j] = (log norm, compensation), as run_chain
-    does. Each increment is formed as _step forms it, with math.log1p:
-    np.log1p may round differently.
+    Writes trajectory j's increments to out[j] from index start on and adds
+    them in step order to its Neumaier sum sums[j] = (log norm,
+    compensation), as run_chain does. Each increment is formed as _step
+    forms it, with math.log1p: np.log1p may round differently.
     """
     for j in range(gs.shape[1]):
         incs = [0.5 * math.log1p(g * g) for g in gs[:, j].tolist()]
-        out[j] = incs
+        out[j][start : start + len(incs)] = incs
         log_norm, comp = sums[j]
         for inc in incs:
             log_norm, comp = neumaier_add(log_norm, comp, inc)
@@ -388,7 +403,8 @@ def _lockstep(
     kmax = 1
     tail_len = np.zeros(count, dtype=np.intp)
     dropped = np.zeros(count)
-    increments = np.empty((count, n))
+    # one array per trajectory: a run the caller keeps holds its own n words, not the batch's
+    increments = [np.empty(n) for _ in range(count)]
     sums = [(0.0, 0.0)] * count
     chunk = min(n, max(1, _INCREMENT_CHUNK // count))
     gs = np.empty((chunk, count))  # g of the steps not yet in increments
@@ -400,7 +416,8 @@ def _lockstep(
 
     for t in range(n):
         for j, k in enumerate(support.tolist()):
-            words[j, :k] = rngs[j].row_words(t, k)
+            rngs[j].seek_row(t)
+            words[j, :k] = rngs[j].words(k)
         z = zbuf[front : front + kmax]
         g = gs[t % chunk]
         g[:] = _seq_sum(draws(law, words[:, :kmax]).T * z)
@@ -429,7 +446,7 @@ def _lockstep(
         step = t + 1
         pending = t % chunk + 1
         if pending == chunk or step == n:
-            _add_increments(gs[:pending], increments[:, step - pending : step], sums)
+            _add_increments(gs[:pending], increments, step - pending, sums)
         if step % stride == 0:
             ckpt_steps.append(step)
             zz = z * z

@@ -203,23 +203,6 @@ class RngStream:
         self.counter += k
         return raw[off : off + k]
 
-    def row_words(self, row: int, k: int) -> np.ndarray:
-        """The first k words of per-step row `row`.
-
-        Equal bit for bit to seek_row(row) followed by words(k), and leaves
-        the stream where they would, with one call instead of two; the
-        lockstep chain engine draws each trajectory's row this way.
-        """
-        if row < 0 or k < 0:
-            raise ValueError("row and k must be nonnegative")
-        start_block = row * _BLOCKS_PER_ROW
-        nblocks = (k + _BLOCK - 1) // _BLOCK
-        self._jump(start_block)
-        raw = self._bg.random_raw(nblocks * _BLOCK)
-        self._bg_block = start_block + nblocks
-        self.counter = row * ROW_STRIDE + k
-        return raw[:k]
-
     def _jump(self, block: int) -> None:
         """Make `block` the next Philox block the generator emits.
 

@@ -173,19 +173,18 @@ def run_exact_float(
     return FloatTrajectory(log_scale=log_scale, scaled_values=vals, n=n)
 
 
-def run_vt(n: int, rng: RngStream, renorm_log2: int = 64, step_cap: int = VT_STEP_CAP) -> np.ndarray:
+def run_vt(n: int, rng: RngStream, renorm_log2: int = 64) -> np.ndarray:
     """Gaussian division recursion; returns log sum of squares at k = 0..n.
 
     Entry k is log(t[0]^2 + ... + t[k]^2). The state is renormalized
     whenever the newest |t| leaves [2^-renorm_log2, 2^renorm_log2];
     renorm_log2 exists so tests can vary the cadence. Time is O(n^2), so
-    n is capped (default VT_STEP_CAP); raise the cap explicitly if you
-    accept the cost.
+    n is capped at VT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > step_cap:
-        raise MemoryBudgetError(f"n={n} exceeds the O(n^2) division-recursion cap {step_cap}")
+    if n > VT_STEP_CAP:
+        raise MemoryBudgetError(f"n={n} exceeds the O(n^2) division-recursion cap {VT_STEP_CAP}")
     hi = 2.0**renorm_log2
     t = np.empty(n + 1)
     t[0] = 1.0

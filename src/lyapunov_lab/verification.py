@@ -8,7 +8,9 @@ both run these; seeds are frozen so every run is replayable bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -560,14 +562,17 @@ def check_exact_determinism(seed: int = DEFAULT_SEED, threads: int = 1) -> Check
 # suites
 
 
-# Each suite gets the 201-point quadrature scan gaussian.eta(80, 201) that
-# the eta and coupling checks share, so `--suite all` computes it once.
+# A suite that needs the 201-point quadrature scan gaussian.eta(80, 201)
+# takes `eta`, a getter that computes it on first call and then returns
+# the same result, so `--suite all` computes it once and a suite that does
+# not need it computes it never.
+EtaGetter = Callable[[], gaussian.EtaResult]
 
 
-def suite_paper_constants(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
+def suite_paper_constants(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
     return [
-        check_eta_value(res=eta),
-        check_eta_negative(res=eta),
+        check_eta_value(res=eta()),
+        check_eta_negative(res=eta()),
         check_chi2_log_moment(),
         check_alpha_closed_form(),
         check_vt_log4(seed, threads=threads),
@@ -575,7 +580,7 @@ def suite_paper_constants(seed: int, threads: int, eta: gaussian.EtaResult) -> l
     ]
 
 
-def suite_inequalities(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
+def suite_inequalities(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
     return [
         check_alpha_two_coord_enum(),
         check_alpha_dominates_mc(seed, threads=threads),
@@ -586,12 +591,12 @@ def suite_inequalities(seed: int, threads: int, eta: gaussian.EtaResult) -> list
     ]
 
 
-def suite_consistency(seed: int, threads: int, eta: gaussian.EtaResult) -> list[CheckResult]:
+def suite_consistency(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
     return [
         check_theorem1_rates(seed, threads=threads),
         check_theorem9_weighted(seed, threads=threads),
         check_gaussian_rate(seed),
-        check_coupling_contraction(seed, threads=threads, eta_hat=eta.eta_hat),
+        check_coupling_contraction(seed, threads=threads, eta_hat=eta().eta_hat),
         check_exact_determinism(seed, threads=threads),
     ]
 
@@ -606,6 +611,6 @@ SUITES = {
 def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    eta = gaussian.eta(80, 201)
+    eta = functools.cache(lambda: gaussian.eta(80, 201))
     suites = SUITES.values() if name == "all" else [SUITES[name]]
     return [check for suite in suites for check in suite(seed, threads, eta)]

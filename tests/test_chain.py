@@ -219,6 +219,30 @@ def test_iter_chains_batches_streams(monkeypatch):
     assert next(runs, None) is None
 
 
+def test_iter_chains_batch_shrinks_with_n(monkeypatch):
+    # a batch's increments stay within _LOCKSTEP_WORDS: 1000 words at n = 200
+    # make a batch of 5 in lockstep and one of 3 through run_chain, and at
+    # n = 300 every batch of 3 goes through run_chain
+    assert chain._batch_size(1000) == chain._LOCKSTEP_MAX
+    assert chain._batch_size(10**5) * 10**5 <= chain._LOCKSTEP_WORDS
+    assert chain._batch_size(10**7) == 1
+    monkeypatch.setattr(chain, "_LOCKSTEP_WORDS", 1000)
+    sizes = []
+    real = chain._lockstep
+
+    def lockstep(law, n, rngs, *args):
+        sizes.append(len(rngs))
+        return real(law, n, rngs, *args)
+
+    monkeypatch.setattr(chain, "_lockstep", lockstep)
+    for n, expected in ((200, [5]), (300, [])):
+        sizes.clear()
+        runs = list(chain.iter_chains(BERNOULLI, n, _streams(6, 8)))
+        assert sizes == expected
+        for j, run in enumerate(runs):
+            _assert_same_run(run, run_chain(BERNOULLI, n, RngStream(6, 40 + j)))
+
+
 def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
     with pytest.raises(ValueError, match="n must be"):
         run_chains(BERNOULLI, 99, _streams(0, 4))

@@ -383,3 +383,6 @@ def test_verify_all_computes_eta_once(monkeypatch, capsys):
     assert len(calls) == 1
     assert "[PASS] eta_value" in out and "[PASS] eta_negative" in out
     assert coupling_eta == [real_eta(80, 201).eta_hat]
+    calls.clear()  # a suite without the eta checks never computes eta
+    assert dispatch(["verify", "--suite", "inequalities"]) == 0
+    assert calls == []

@@ -191,24 +191,6 @@ def test_rows_empty_and_rejected():
             rng.rows(*args)
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_row_words_match_seek_row_and_words(seed):
-    rng = RngStream(seed, 9)
-    # forward, backward, repeated and far rows, at lengths across block edges
-    for row, k in ((3, 5), (1, 4), (1, 4), (0, 1), (2**34 - 1, 130), (70, 0), (7, 128)):
-        got = rng.row_words(row, k)
-        ref = RngStream(seed, 9)
-        ref.seek_row(row)
-        assert np.array_equal(got, ref.words(k))
-        assert rng.counter == row * ROW_STRIDE + k
-        # the stream goes on from there as seek_row + words would leave it
-        assert np.array_equal(rng.words(3), ref.words(3))
-    with pytest.raises(ValueError):
-        rng.row_words(-1, 2)
-    with pytest.raises(ValueError):
-        rng.row_words(0, -2)
-
-
 def test_words_match_philox_advance_at_wide_counters():
     from numpy.random import Philox
 
