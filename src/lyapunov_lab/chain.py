@@ -7,22 +7,31 @@ the trajectory accumulates the per-step increment 0.5*log(1+g^2). Because
 the entries of z decay geometrically, a tiny trailing block can be dropped
 each step, giving bounded memory with an auditable error budget.
 
-run_chain steps one trajectory; run_chains steps several in lockstep as one
-array. Every sum over the coordinates is taken term by term in index order
-(_seq_sum), so a trajectory's numbers do not depend on the batch it runs in.
+run_chain runs one trajectory through a compiled kernel (_chain_kernel.c),
+or through the reference loop of _step where no C compiler is found; both
+give the same numbers bit for bit. run_chains and iter_chains run several,
+one after another.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bounds import alpha_bound
 from .errors import TruncationBudgetError
-from .laws import CoefficientLaw, RngStream, draws, sample_row
+from .laws import CoefficientLaw, LawKind, RngStream, sample_row
 from .util import neumaier_add
 
 __all__ = [
@@ -35,12 +44,14 @@ __all__ = [
     "run_chain",
     "run_chains",
     "iter_chains",
+    "chain_engine",
     "DEFAULT_TRUNC_TOL",
     "MAX_TRUNC_TOL",
 ]
 
 DEFAULT_TRUNC_TOL = 1e-14
 MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
+MAX_STEPS = 1 << 34  # rows at and past 2^34 leave the low 64-bit limb of the Philox counter
 
 
 @dataclass
@@ -94,12 +105,10 @@ def initial_state() -> NormalizedState:
 
 
 def _seq_sum(x: np.ndarray):
-    """Sum along axis 0, one term after another in index order.
+    """Sum one term after another in index order, as the compiled kernel does.
 
     np.add.reduce and the BLAS dot products switch to pairwise or blocked
-    orders that depend on the array's length and shape; an accumulate does
-    not, so a column of a (k, T) array sums to the same bits as the same
-    k values alone, for every T.
+    orders that depend on the array's length; an accumulate does not.
     """
     return np.add.accumulate(x, axis=0)[-1]
 
@@ -193,6 +202,8 @@ def _check_run(law: CoefficientLaw, n: int, w: WeightParameter, trunc_tol: float
     """Validate a run's parameters; returns its dropped-mass budget."""
     if n < 100:
         raise ValueError("n must be >= 100")
+    if n >= MAX_STEPS:
+        raise ValueError(f"n must be below 2^34, got {n}")
     if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
         raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
     if w.c > 0.0:
@@ -223,10 +234,49 @@ def run_chain(
     checkpoints, and the per-index mean |z_i| over the last half of the run.
     For c > 0 the weight must satisfy c < -log(alpha) for the law's moments,
     the regime where the weighted and plain rates provably agree.
-    trunc_tol must lie in (0, MAX_TRUNC_TOL].
+    trunc_tol must lie in (0, MAX_TRUNC_TOL], and n in [100, 2^34).
+
+    The compiled kernel runs the trajectory when it can be built (see
+    chain_engine), the reference loop _run_reference otherwise; both give
+    the same numbers bit for bit. The rows are read by counter, and where
+    rng is left afterwards depends on the engine.
     """
     budget = _check_run(law, n, w, trunc_tol)
+    kernel = _kernel()
+    if kernel is None:
+        run = _run_reference(law, n, rng, w, trunc_tol)
+    else:
+        run = _run_compiled(kernel, law, n, rng, w, trunc_tol)
+    _check_budget(run.final_state.dropped_mass, budget)
+    return run
 
+
+def run_chains(
+    law: CoefficientLaw,
+    n: int,
+    rngs: Sequence[RngStream],
+    w: WeightParameter = WeightParameter(0.0),
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
+) -> list[ChainRun]:
+    """run_chain on each stream of rngs; element j equals run_chain(law, n, rngs[j]) bit for bit."""
+    return list(iter_chains(law, n, rngs, w, trunc_tol))
+
+
+def iter_chains(
+    law: CoefficientLaw,
+    n: int,
+    rngs: Sequence[RngStream],
+    w: WeightParameter = WeightParameter(0.0),
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
+) -> Iterator[ChainRun]:
+    """The runs of run_chains one by one, so a caller that keeps a summary of each holds one run at a time."""
+    return (run_chain(law, n, rng, w, trunc_tol) for rng in rngs)
+
+
+def _run_reference(
+    law: CoefficientLaw, n: int, rng: RngStream, w: WeightParameter, trunc_tol: float
+) -> ChainRun:
+    """run_chain in Python, one _step after another; the compiled kernel must match it bit for bit."""
     coords = np.array([1.0])
     log_norm = 0.0
     comp = 0.0
@@ -256,8 +306,6 @@ def run_chain(
             tail_acc[: coords.size] += np.abs(coords)
             tail_count += 1
 
-    _check_budget(dropped_total, budget)
-
     final = NormalizedState(coords, log_norm, dropped_total, n, comp)
     return ChainRun(
         increments=increments,
@@ -271,209 +319,140 @@ def run_chain(
     )
 
 
-def run_chains(
+# ---------------------------------------------------------------------------
+# compiled kernel
+
+_KERNEL_SOURCE = Path(__file__).with_name("_chain_kernel.c")
+# -ffp-contract=off: a fused multiply-add rounds once where the reference rounds twice
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_ROWS = 512  # initial state buffer; the live support settles near 110-130 at the default tolerance
+
+
+def chain_engine() -> str:
+    """The engine of run_chain: "compiled" for the C kernel, "python" for the reference loop."""
+    return "python" if _kernel() is None else "compiled"
+
+
+@functools.cache
+def _kernel() -> Optional[tuple[Callable[..., int], int]]:
+    """(chain_run of _chain_kernel.c, address of scipy's ndtri), or None where it cannot be built.
+
+    Built on first use with gcc into the cache directory, under a name
+    keyed by the source, the flags and the compiler version, so that an
+    edit or a new compiler builds afresh. The build writes a temporary file
+    and renames it into place, so processes that build at once do not see
+    each other's partial files.
+    """
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return None
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        version = subprocess.run([gcc, "--version"], capture_output=True, check=True).stdout
+        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), version]))
+        path = os.path.join(_cache_dir(), f"chain_kernel-{key.hexdigest()[:16]}.so")
+        if not os.path.exists(path):
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+            os.close(fd)
+            try:
+                cmd = [gcc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"]
+                subprocess.run(cmd, capture_output=True, check=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(path).chain_run
+    except (OSError, subprocess.SubprocessError):
+        return None
+    ndtri = _ndtri_address()
+    if ndtri is None:
+        return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+        + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+        + [ctypes.c_void_p] * 4
+    )
+    return fn, ndtri
+
+
+def _cache_dir() -> str:
+    """$XDG_CACHE_HOME/lyapunov_lab (default ~/.cache), or the temp directory where it cannot be made."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "lyapunov_lab")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError:
+        path = os.path.join(tempfile.gettempdir(), "lyapunov_lab")
+        os.makedirs(path, exist_ok=True)
+    return path
+
+
+_NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
+
+
+def _ndtri_address() -> Optional[int]:
+    """Address of the C function behind scipy.special.ndtri, as laws.draws uses it.
+
+    The int of its signature is Cython's skip-dispatch flag, which the
+    kernel passes as 0. None when scipy exports another signature.
+    """
+    from scipy.special import cython_special
+
+    capsule = cython_special.__pyx_capi__["ndtri"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    signature = name(capsule)
+    return pointer(capsule, signature) if signature == _NDTRI_SIGNATURE else None
+
+
+def _run_compiled(
+    kernel: tuple[Callable[..., int], int],
     law: CoefficientLaw,
     n: int,
-    rngs: Sequence[RngStream],
-    w: WeightParameter = WeightParameter(0.0),
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> list[ChainRun]:
-    """run_chain on each stream of rngs; element j equals run_chain(law, n, rngs[j]) bit for bit."""
-    return list(iter_chains(law, n, rngs, w, trunc_tol))
-
-
-def iter_chains(
-    law: CoefficientLaw,
-    n: int,
-    rngs: Sequence[RngStream],
-    w: WeightParameter = WeightParameter(0.0),
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> Iterator[ChainRun]:
-    """The runs of run_chains one by one, computed a batch of streams at a time.
-
-    A batch holds at most _LOCKSTEP_MAX streams and at most
-    _LOCKSTEP_WORDS increments (streams x n). One of _LOCKSTEP_MIN or more
-    streams advances in lockstep as one array (_lockstep), which costs less
-    per trajectory than a run_chain each; a smaller one runs through
-    run_chain. A caller that keeps less than a whole ChainRun holds at most
-    one batch of runs at once.
-    """
-    rngs = list(rngs)
-    size = _batch_size(n)
-    for first in range(0, len(rngs), size):
-        batch = rngs[first : first + size]
-        if len(batch) < _LOCKSTEP_MIN:
-            yield from (run_chain(law, n, rng, w, trunc_tol) for rng in batch)
-        else:
-            yield from _lockstep(law, n, batch, w, trunc_tol)
-
-
-def _batch_size(n: int) -> int:
-    """Streams per batch of iter_chains at n steps."""
-    return max(1, min(_LOCKSTEP_MAX, _LOCKSTEP_WORDS // max(n, 1)))
-
-
-# Lockstep against run_chain one after another (both laws, n = 1e3 and 1e4,
-# 2-core x86-64, numpy 2.4): 1.23-1.37x the time at T = 2, 0.96-1.08x at
-# T = 3, 0.88-0.94x at T = 4.
-_LOCKSTEP_MIN = 4
-# Bounds the working arrays, whose rows follow the support and not n (a few
-# MB per 1000 trajectories); per trajectory, 1000 in lockstep cost half of
-# what 16 do.
-_LOCKSTEP_MAX = 1024
-# Bounds the increments a batch holds, T x n float64 words (32 MB). Past
-# n = 2^20 a batch has fewer than _LOCKSTEP_MIN streams and the runs go one
-# at a time through run_chain, holding one run's increments as it does.
-_LOCKSTEP_WORDS = 1 << 22
-
-
-def _add_increments(
-    gs: np.ndarray, out: list[np.ndarray], start: int, sums: list[tuple[float, float]]
-) -> None:
-    """Increments from the g values of consecutive steps, one column per trajectory.
-
-    Writes trajectory j's increments to out[j] from index start on and adds
-    them in step order to its Neumaier sum sums[j] = (log norm,
-    compensation), as run_chain does. Each increment is formed as _step
-    forms it, with math.log1p: np.log1p may round differently.
-    """
-    for j in range(gs.shape[1]):
-        incs = [0.5 * math.log1p(g * g) for g in gs[:, j].tolist()]
-        out[j][start : start + len(incs)] = incs
-        log_norm, comp = sums[j]
-        for inc in incs:
-            log_norm, comp = neumaier_add(log_norm, comp, inc)
-        sums[j] = (log_norm, comp)
-
-
-def _truncate_columns(z: np.ndarray, support: np.ndarray, tol: float, dropped: np.ndarray) -> bool:
-    """_truncate on each column of z in place; True if any column lost coordinates.
-
-    Column j holds support[j] coordinates and zeros below them. The walk
-    of _truncate drops nothing unless the last coordinate's square is
-    below tol^2, so only those columns go to _truncate. Lowers support and
-    adds each column's dropped mass to dropped.
-    """
-    last = z[support - 1, np.arange(z.shape[1])]
-    walks = np.flatnonzero(last * last < tol * tol).tolist()
-    for j in walks:
-        col = z[: support[j], j]
-        kept, d = _truncate(col, tol)
-        col[: kept.size] = kept
-        col[kept.size :] = 0.0
-        support[j] = kept.size
-        dropped[j] += d
-    return bool(walks)
-
-
-_INCREMENT_CHUNK = 1 << 16  # g values held before they become increments
-_LOCKSTEP_ROWS = 512  # initial buffer rows; the live block settles near 130-180
-
-
-def _lockstep(
-    law: CoefficientLaw,
-    n: int,
-    rngs: list[RngStream],
+    rng: RngStream,
     w: WeightParameter,
     trunc_tol: float,
-) -> list[ChainRun]:
-    """The steps of run_chain for T trajectories at once.
-
-    The coordinates sit newest first in one (capacity, T) buffer with a
-    shared front row: trajectory j holds z in rows front .. front +
-    support[j] - 1 of column j and zeros below, so a prepend writes one row
-    and moves nothing. Each step draws every trajectory's row at its own
-    length, then one array operation each forms the products, the sums
-    <row, z>, the norms, the renormalization, the tail sums and the
-    checkpoint norms. Entries past a trajectory's support are zero and add
-    exact zeros to its sums, which _seq_sum takes in index order, so every
-    column comes out as run_chain computes it alone. The _truncate walk
-    runs on the columns whose last coordinate could be dropped.
-    """
-    budget = _check_run(law, n, w, trunc_tol)
-    count = len(rngs)
-    cap = min(n + 1, _LOCKSTEP_ROWS)
-    zbuf = np.zeros((cap, count))
-    words = np.zeros((count, cap), dtype=np.uint64)
-    tail_acc = np.zeros((cap, count))
-    weights = np.exp(w.c * np.arange(cap))[:, None]
-    front = cap - 1
-    zbuf[front] = 1.0
-    support = np.ones(count, dtype=np.intp)
-    kmax = 1
-    tail_len = np.zeros(count, dtype=np.intp)
-    dropped = np.zeros(count)
-    # one array per trajectory: a run the caller keeps holds its own n words, not the batch's
-    increments = [np.empty(n) for _ in range(count)]
-    sums = [(0.0, 0.0)] * count
-    chunk = min(n, max(1, _INCREMENT_CHUNK // count))
-    gs = np.empty((chunk, count))  # g of the steps not yet in increments
-
+) -> ChainRun:
+    """run_chain through the kernel; the buffer doubles whenever the live support fills half of it."""
+    fn, ndtri = kernel
     stride = max(1, n // 100)
-    ckpt_steps: list[int] = []
-    norms: list[np.ndarray] = []
-    half = n // 2
+    increments = np.empty(n)
+    norms = np.empty(n // stride)
+    cap = _KERNEL_ROWS
+    z = np.zeros(cap)
+    z[-1] = 1.0
+    tail = np.zeros(cap)
+    ist = np.array([0, cap - 1, 1, 0], dtype=np.int64)  # step, front, support, tail length
+    dst = np.zeros(3)  # log norm, its compensation, dropped mass
+    while True:
+        # the weights of weighted_norm, from np.exp: libm's exp may round them differently
+        weights = np.exp(w.c * np.arange(cap)) if w.c > 0.0 else None
+        done = fn(
+            rng.seed, rng.stream_id, ndtri if law.kind is LawKind.STANDARD_GAUSSIAN else None,
+            n, trunc_tol, None if weights is None else weights.ctypes.data, stride,
+            z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
+            ist.ctypes.data, dst.ctypes.data,
+        )  # fmt: skip
+        if done == n:
+            break
+        front, k = int(ist[1]), int(ist[2])
+        cap *= 2
+        z = np.concatenate([np.zeros(cap - k), z[front : front + k]])
+        tail = np.concatenate([tail, np.zeros(cap - tail.size)])
+        ist[1] = cap - k
 
-    for t in range(n):
-        for j, k in enumerate(support.tolist()):
-            rngs[j].seek_row(t)
-            words[j, :k] = rngs[j].words(k)
-        z = zbuf[front : front + kmax]
-        g = gs[t % chunk]
-        g[:] = _seq_sum(draws(law, words[:, :kmax]).T * z)
-
-        if front == 0:  # move the live block to the bottom, doubling the buffer if it is half full
-            if 2 * kmax > cap:
-                cap *= 2
-                zbuf = np.concatenate([np.zeros((cap - kmax, count)), zbuf[:kmax]])
-                words = np.concatenate([words, np.zeros_like(words)], axis=1)
-                tail_acc = np.concatenate([tail_acc, np.zeros_like(tail_acc)])
-                weights = np.exp(w.c * np.arange(cap))[:, None]
-            else:
-                zbuf[cap - kmax :] = zbuf[:kmax]
-            front = cap - kmax
-        front -= 1
-        zbuf[front] = g
-        support += 1
-        kmax += 1
-        z = zbuf[front : front + kmax]
-        z /= np.sqrt(_seq_sum(z * z))
-
-        if _truncate_columns(z, support, trunc_tol, dropped):
-            kmax = int(support.max())
-            z = zbuf[front : front + kmax]
-
-        step = t + 1
-        pending = t % chunk + 1
-        if pending == chunk or step == n:
-            _add_increments(gs[:pending], increments, step - pending, sums)
-        if step % stride == 0:
-            ckpt_steps.append(step)
-            zz = z * z
-            norms.append(np.sqrt(_seq_sum(zz if w.c == 0.0 else weights[:kmax] * zz)))
-        if step > half:
-            tail_acc[:kmax] += np.abs(z)
-            np.maximum(tail_len, support, out=tail_len)
-
-    for d in dropped.tolist():
-        _check_budget(d, budget)
-
-    tail_count = n - half
-    # math.log, as run_chain takes it: np.log may round differently
-    offsets = np.array([[math.log(x) for x in col] for col in np.array(norms).T.tolist()])
-    runs = []
-    for j, (log_norm, comp) in enumerate(sums):
-        coords = zbuf[front : front + support[j], j].copy()
-        runs.append(
-            ChainRun(
-                increments=increments[j],
-                checkpoint_steps=np.array(ckpt_steps, dtype=np.int64),
-                weighted_offsets=offsets[j],
-                tail_means=tail_acc[: tail_len[j], j] / tail_count,
-                final_state=NormalizedState(coords, log_norm, float(dropped[j]), n, comp),
-                law=law,
-                c=w.c,
-                trunc_tol=trunc_tol,
-            )
-        )
-    return runs
+    _, front, k, tail_len = ist.tolist()
+    log_norm, comp, dropped = dst.tolist()
+    return ChainRun(
+        increments=increments,
+        checkpoint_steps=np.arange(1, n // stride + 1, dtype=np.int64) * stride,
+        # math.log, as the reference takes it: np.log may round differently
+        weighted_offsets=np.array([math.log(x) for x in norms.tolist()]),
+        tail_means=tail[:tail_len] / (n - n // 2),
+        final_state=NormalizedState(z[front : front + k].copy(), log_norm, dropped, n, comp),
+        law=law,
+        c=w.c,
+        trunc_tol=trunc_tol,
+    )

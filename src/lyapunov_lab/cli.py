@@ -113,6 +113,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
             "log_norm": run.final_state.log_norm,
             "support": int(run.final_state.coords.size),
             "dropped_mass": run.final_state.dropped_mass,
+            "chain_engine": chain.chain_engine(),
         }
         files = {
             "increments.csv": (("step", "increment"), enumerate(run.increments, start=1)),
@@ -170,6 +171,8 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
         "law": args.law,
         "seed": args.seed,
     }
+    if args.model == "chain":
+        results["chain_engine"] = chain.chain_engine()
     return results, {}
 
 
@@ -231,6 +234,7 @@ def _cmd_tails(args) -> tuple[dict, dict]:
         "passed": stats["passed"],
         "chains": args.chains,
         "n": args.n,
+        "chain_engine": chain.chain_engine(),
     }
     files = {
         "tails.csv": (
@@ -247,13 +251,23 @@ def _cmd_verify(args) -> tuple[dict, dict]:
         print(verification.format_line(cr))
     failed = sum(1 for c in checks if not c.passed)
     print(f"verify --suite {args.suite}: {len(checks) - failed}/{len(checks)} checks passed")
-    results = {"suite": args.suite, "checks_total": len(checks), "checks_failed": failed}
+    results = {
+        "suite": args.suite,
+        "checks_total": len(checks),
+        "checks_failed": failed,
+        "chain_engine": chain.chain_engine(),
+    }
     files = {
         "checks.csv": (
-            ("name", "expected", "observed", "tolerance", "passed"),
-            [(c.name, c.expected, c.observed, c.tolerance, c.passed) for c in checks],
+            ("name", "expected", "observed", "tolerance", "passed", "elapsed_s"),
+            [
+                # wall times vary from run to run: --no-timestamps leaves them out
+                (c.name, c.expected, c.observed, c.tolerance, c.passed,
+                 "" if args.no_timestamps or c.elapsed_s is None else c.elapsed_s)
+                for c in checks
+            ],
         )
-    }
+    }  # fmt: skip
     return results, files
 
 
@@ -279,7 +293,7 @@ def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
         default=1,
         help=(
             "worker threads for the vt, exact, alpha Monte Carlo and coupling ensembles; "
-            "chain ensembles run as one lockstep array in one thread; never changes results"
+            "chain ensembles run one trajectory after another in one thread; never changes results"
         ),
     )
     p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")

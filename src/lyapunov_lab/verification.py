@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,7 @@ class CheckResult:
     tolerance: str
     passed: bool
     details: str = ""
+    elapsed_s: float | None = None  # wall time of the check, set by run_suite
 
 
 def format_line(cr: CheckResult) -> str:
@@ -63,6 +65,8 @@ def format_line(cr: CheckResult) -> str:
     line = f"[{status}] {cr.name}: expected {cr.expected}, observed {cr.observed}, tol {cr.tolerance}"
     if cr.details:
         line += f"  ({cr.details})"
+    if cr.elapsed_s is not None:
+        line += f"  [{cr.elapsed_s:.2f} s]"
     return line
 
 
@@ -278,9 +282,9 @@ def tail_statistics(
 
     Returns per-index across-chain means, standard errors, the alpha powers,
     and the worst violation z-score max_i (mean_i - alpha^i) / se_i. The
-    standard errors need at least two chains. The chains run in lockstep
-    (chain.iter_chains) in this thread, so `threads` has no effect; it stays
-    for the callers that pass it.
+    standard errors need at least two chains. The chains run one after
+    another (chain.iter_chains) in this thread, so `threads` has no effect;
+    it stays for the callers that pass it.
     """
     if chains < 2:
         raise ValueError(f"chains must be >= 2 for a standard error, got {chains}")
@@ -562,42 +566,44 @@ def check_exact_determinism(seed: int = DEFAULT_SEED, threads: int = 1) -> Check
 # suites
 
 
+# A suite is a list of checks not yet run, so that run_suite can time each.
 # A suite that needs the 201-point quadrature scan gaussian.eta(80, 201)
 # takes `eta`, a getter that computes it on first call and then returns
-# the same result, so `--suite all` computes it once and a suite that does
-# not need it computes it never.
+# the same result, so `--suite all` computes it once (within the first
+# check that needs it) and a suite that does not need it computes it never.
 EtaGetter = Callable[[], gaussian.EtaResult]
+Check = Callable[[], CheckResult]
 
 
-def suite_paper_constants(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
+def suite_paper_constants(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
     return [
-        check_eta_value(res=eta()),
-        check_eta_negative(res=eta()),
-        check_chi2_log_moment(),
-        check_alpha_closed_form(),
-        check_vt_log4(seed, threads=threads),
-        check_fib_rate(seed),
+        lambda: check_eta_value(res=eta()),
+        lambda: check_eta_negative(res=eta()),
+        lambda: check_chi2_log_moment(),
+        lambda: check_alpha_closed_form(),
+        lambda: check_vt_log4(seed, threads=threads),
+        lambda: check_fib_rate(seed),
     ]
 
 
-def suite_inequalities(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
+def suite_inequalities(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
     return [
-        check_alpha_two_coord_enum(),
-        check_alpha_dominates_mc(seed, threads=threads),
-        check_corollary8_tails(seed),
-        check_lo_bruteforce(seed),
-        check_lo_erdos(),
-        check_lo_sarkozy_echo(),
+        lambda: check_alpha_two_coord_enum(),
+        lambda: check_alpha_dominates_mc(seed, threads=threads),
+        lambda: check_corollary8_tails(seed),
+        lambda: check_lo_bruteforce(seed),
+        lambda: check_lo_erdos(),
+        lambda: check_lo_sarkozy_echo(),
     ]
 
 
-def suite_consistency(seed: int, threads: int, eta: EtaGetter) -> list[CheckResult]:
+def suite_consistency(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
     return [
-        check_theorem1_rates(seed, threads=threads),
-        check_theorem9_weighted(seed, threads=threads),
-        check_gaussian_rate(seed),
-        check_coupling_contraction(seed, threads=threads, eta_hat=eta().eta_hat),
-        check_exact_determinism(seed, threads=threads),
+        lambda: check_theorem1_rates(seed, threads=threads),
+        lambda: check_theorem9_weighted(seed, threads=threads),
+        lambda: check_gaussian_rate(seed),
+        lambda: check_coupling_contraction(seed, threads=threads, eta_hat=eta().eta_hat),
+        lambda: check_exact_determinism(seed, threads=threads),
     ]
 
 
@@ -613,4 +619,11 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[Che
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     eta = functools.cache(lambda: gaussian.eta(80, 201))
     suites = SUITES.values() if name == "all" else [SUITES[name]]
-    return [check for suite in suites for check in suite(seed, threads, eta)]
+    results = []
+    for suite in suites:
+        for check in suite(seed, threads, eta):
+            t0 = time.perf_counter()
+            result = check()
+            result.elapsed_s = time.perf_counter() - t0
+            results.append(result)
+    return results

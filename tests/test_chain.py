@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -160,15 +161,50 @@ def _assert_same_run(a, b):
     assert np.array_equal(a.weighted_offsets, b.weighted_offsets)
     assert np.array_equal(a.tail_means, b.tail_means)
     fa, fb = a.final_state, b.final_state
-    assert np.array_equal(fa.coords, fb.coords)
+    # bytes, not values: a -0.0 where the reference has 0.0 would print otherwise
+    assert fa.coords.tobytes() == fb.coords.tobytes()
     assert fa.log_norm == fb.log_norm
     assert fa.log_norm_comp == fb.log_norm_comp
     assert fa.dropped_mass == fb.dropped_mass
     assert fa.step == fb.step
+    assert (a.law, a.c, a.trunc_tol) == (b.law, b.c, b.trunc_tol)
 
 
 def _streams(seed, count):
     return [RngStream(seed, 40 + j) for j in range(count)]
+
+
+def _reference(law, n, rng, w=WeightParameter(0.0), trunc_tol=DEFAULT_TRUNC_TOL):
+    return chain._run_reference(law, n, rng, w, trunc_tol)
+
+
+@pytest.fixture
+def compiled():
+    """The compiled kernel, which every comparison with the reference must actually run."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler: run_chain runs the reference loop itself")
+    assert chain.chain_engine() == "compiled"
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after, so a test can load it under its own environment."""
+    chain._kernel.cache_clear()
+    yield
+    chain._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [100, 1000, 2500])
+@pytest.mark.parametrize("c", [0.0, 0.005])
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_kernel_equals_reference_bit_for_bit(compiled, law, c, n, seed, trunc_tol):
+    w = WeightParameter(c)
+    run = run_chain(law, n, RngStream(seed, 7), w, trunc_tol)
+    _assert_same_run(run, _reference(law, n, RngStream(seed, 7), w, trunc_tol))
+    if trunc_tol == MAX_TRUNC_TOL and n >= 1000:
+        assert run.final_state.dropped_mass > 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -176,71 +212,51 @@ def _streams(seed, count):
 @pytest.mark.parametrize("count", [1, 2, 8, 16])
 @pytest.mark.parametrize("c", [0.0, 0.005])
 @pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
-def test_run_chains_equals_run_chain_bit_for_bit(law, c, count, n, seed):
+def test_run_chains_equals_run_chain_bit_for_bit(compiled, law, c, count, n, seed):
     w = WeightParameter(c)
     runs = run_chains(law, n, _streams(seed, count), w)
-    # the lockstep engine itself, also below _LOCKSTEP_MIN trajectories, where run_chains uses run_chain
-    lockstep = chain._lockstep(law, n, _streams(seed, count), w, DEFAULT_TRUNC_TOL)
-    assert len(runs) == len(lockstep) == count
-    for j in range(count):
-        ref = run_chain(law, n, RngStream(seed, 40 + j), w)
-        _assert_same_run(runs[j], ref)
-        _assert_same_run(lockstep[j], ref)
+    assert len(runs) == count
+    for j, run in enumerate(runs):
+        _assert_same_run(run, _reference(law, n, RngStream(seed, 40 + j), w))
 
 
 @pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
-def test_run_chains_matches_through_truncation_and_buffer_moves(trunc_tol):
-    # n > 1024 rows moves the live block to the bottom of the buffer; the
-    # support rises from e0 and then shrinks whenever _truncate drops a tail
+def test_run_chains_matches_through_truncation_and_buffer_moves(compiled, trunc_tol):
+    # the kernel's 512-entry buffer moves the live block to its end every
+    # few hundred steps; the support rises from e0 and then shrinks
+    # whenever the truncation walk drops a tail
     n = 2500
     runs = run_chains(BERNOULLI, n, _streams(5, 4), trunc_tol=trunc_tol)
     for j, run in enumerate(runs):
-        ref = run_chain(BERNOULLI, n, RngStream(5, 40 + j), trunc_tol=trunc_tol)
-        _assert_same_run(run, ref)
+        _assert_same_run(run, _reference(BERNOULLI, n, RngStream(5, 40 + j), trunc_tol=trunc_tol))
         assert run.final_state.dropped_mass > 0.0
         assert run.final_state.coords.size < 200  # of the n + 1 the support would reach untruncated
 
 
-def test_run_chains_matches_when_the_buffer_grows(monkeypatch):
-    monkeypatch.setattr(chain, "_LOCKSTEP_ROWS", 16)
-    monkeypatch.setattr(chain, "_INCREMENT_CHUNK", 28)  # chunks of 7 steps: 600 end inside one
+def test_run_chains_matches_when_the_buffer_grows(compiled, monkeypatch):
+    # from 16 entries the buffer doubles four or five times as the support grows to 100-130
+    monkeypatch.setattr(chain, "_KERNEL_ROWS", 16)
     for c in (0.0, 0.005):
         runs = run_chains(GAUSSIAN, 600, _streams(9, 4), WeightParameter(c))
         for j, run in enumerate(runs):
-            _assert_same_run(run, run_chain(GAUSSIAN, 600, RngStream(9, 40 + j), WeightParameter(c)))
+            _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, 40 + j), WeightParameter(c)))
 
 
 def test_iter_chains_batches_streams(monkeypatch):
-    # batches of 5, 5 and 1: two in lockstep and the last through run_chain
-    monkeypatch.setattr(chain, "_LOCKSTEP_MAX", 5)
+    # one stream at a time: a run starts only when the caller asks for it
+    started = []
+    real = chain.run_chain
+
+    def counted(law, n, rng, *args):
+        started.append(rng.stream_id)
+        return real(law, n, rng, *args)
+
+    monkeypatch.setattr(chain, "run_chain", counted)
     runs = chain.iter_chains(BERNOULLI, 200, _streams(6, 11))
     for j in range(11):
-        _assert_same_run(next(runs), run_chain(BERNOULLI, 200, RngStream(6, 40 + j)))
+        _assert_same_run(next(runs), _reference(BERNOULLI, 200, RngStream(6, 40 + j)))
+        assert started == [40 + i for i in range(j + 1)]
     assert next(runs, None) is None
-
-
-def test_iter_chains_batch_shrinks_with_n(monkeypatch):
-    # a batch's increments stay within _LOCKSTEP_WORDS: 1000 words at n = 200
-    # make a batch of 5 in lockstep and one of 3 through run_chain, and at
-    # n = 300 every batch of 3 goes through run_chain
-    assert chain._batch_size(1000) == chain._LOCKSTEP_MAX
-    assert chain._batch_size(10**5) * 10**5 <= chain._LOCKSTEP_WORDS
-    assert chain._batch_size(10**7) == 1
-    monkeypatch.setattr(chain, "_LOCKSTEP_WORDS", 1000)
-    sizes = []
-    real = chain._lockstep
-
-    def lockstep(law, n, rngs, *args):
-        sizes.append(len(rngs))
-        return real(law, n, rngs, *args)
-
-    monkeypatch.setattr(chain, "_lockstep", lockstep)
-    for n, expected in ((200, [5]), (300, [])):
-        sizes.clear()
-        runs = list(chain.iter_chains(BERNOULLI, n, _streams(6, 8)))
-        assert sizes == expected
-        for j, run in enumerate(runs):
-            _assert_same_run(run, run_chain(BERNOULLI, n, RngStream(6, 40 + j)))
 
 
 def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
@@ -258,3 +274,47 @@ def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
         run_chain(BERNOULLI, 300, RngStream(0, 40))
     with pytest.raises(TruncationBudgetError):
         run_chains(BERNOULLI, 300, _streams(0, 4))
+
+
+def test_run_chain_rejects_rows_past_the_counter_limb():
+    # row 2^34 would need the second 64-bit limb of the Philox counter
+    with pytest.raises(ValueError, match="2\\^34"):
+        run_chain(BERNOULLI, 2**34, RngStream(0, 0))
+
+
+def test_kernel_builds_into_the_cache_directory(compiled, fresh_kernel, tmp_path, monkeypatch):
+    expected = run_chain(GAUSSIAN, 300, RngStream(4, 1), WeightParameter(0.005))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    chain._kernel.cache_clear()
+    assert chain.chain_engine() == "compiled"
+    built = list((tmp_path / "lyapunov_lab").iterdir())
+    assert [p.suffix for p in built] == [".so"]  # the temporary file was renamed, none is left
+    stamp = built[0].stat().st_mtime_ns
+    _assert_same_run(run_chain(GAUSSIAN, 300, RngStream(4, 1), WeightParameter(0.005)), expected)
+    chain._kernel.cache_clear()
+    assert chain.chain_engine() == "compiled"  # loaded from the cache, not built again
+    assert list((tmp_path / "lyapunov_lab").iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp
+
+
+# a gcc that prints a version and then fails to compile
+FAILING_GCC = '#!/bin/sh\nif [ "$1" = --version ]; then echo "gcc 0"; else exit 1; fi\n'
+
+
+@pytest.mark.parametrize("compiler", [None, FAILING_GCC], ids=["missing", "failing"])
+def test_without_a_compiler_run_chain_falls_back_to_the_reference(fresh_kernel, tmp_path, monkeypatch, compiler):
+    expected = [run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL) for law in (BERNOULLI, GAUSSIAN)]
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if compiler is not None:
+        gcc = bin_dir / "gcc"
+        gcc.write_text(compiler)
+        gcc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    chain._kernel.cache_clear()
+    assert chain.chain_engine() == "python"
+    for law, ref in zip((BERNOULLI, GAUSSIAN), expected):
+        _assert_same_run(run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL), ref)
+    cache = tmp_path / "lyapunov_lab"
+    assert not cache.exists() or not list(cache.iterdir())  # a failed build leaves no file behind

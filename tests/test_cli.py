@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapunov_lab import cli, verification
+from lyapunov_lab import chain, cli, verification
 from lyapunov_lab.cli import dispatch
 
 
@@ -386,3 +388,48 @@ def test_verify_all_computes_eta_once(monkeypatch, capsys):
     calls.clear()  # a suite without the eta checks never computes eta
     assert dispatch(["verify", "--suite", "inequalities"]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "chain", "--n", "200"],
+        ["gamma", "--model", "chain", "--n", "200"],
+        ["tails", "--n", "200", "--chains", "2"],
+    ],
+)
+def test_chain_commands_record_the_engine(tmp_path, capsys, argv):
+    code, out = _run(capsys, argv + ["--out", str(tmp_path)])
+    assert code == 0
+    engine = chain.chain_engine()
+    assert engine in ("compiled", "python")
+    assert json.loads(out)["chain_engine"] == engine
+    assert json.loads((tmp_path / "manifest.json").read_text())["results"]["chain_engine"] == engine
+
+
+def test_gamma_of_other_models_records_no_engine(capsys):
+    code, out = _run(capsys, ["gamma", "--model", "fib", "--n", "1000"])
+    assert code == 0
+    assert "chain_engine" not in json.loads(out)
+
+
+def test_verify_reports_the_time_of_each_check(tmp_path, capsys, monkeypatch):
+    # the two simulations of the suite are stubbed; the quadrature checks run for real
+    for name in ("check_vt_log4", "check_fib_rate"):
+        stub = verification.CheckResult(name, "x", "x", "0", True)
+        monkeypatch.setattr(verification, name, lambda *a, stub=stub, **k: stub)
+    argv = ["verify", "--suite", "paper-constants", "--out"]
+    assert dispatch(argv + [str(tmp_path / "timed")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS]")]
+    assert len(lines) == 6 and all(re.search(r"  \[\d+\.\d\d s\]$", line) for line in lines)
+    with open(tmp_path / "timed" / "checks.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["elapsed_s"]) >= 0.0 for row in rows] == [True] * 6
+    manifest = json.loads((tmp_path / "timed" / "manifest.json").read_text())
+    assert manifest["results"]["chain_engine"] == chain.chain_engine()
+    # --no-timestamps leaves the times out, so a replay is byte-identical
+    assert dispatch(argv + [str(tmp_path / "untimed"), "--no-timestamps"]) == 0
+    with open(tmp_path / "untimed" / "checks.csv") as fh:
+        untimed = list(csv.DictReader(fh))
+    assert [row["elapsed_s"] for row in untimed] == [""] * 6
+    assert [{**row, "elapsed_s": ""} for row in rows] == untimed
