@@ -3,8 +3,8 @@
 
 Prints one line per (model, law) with the estimate, standard error, and the
 reference value where one exists (log 4 for the division recursion, the
-quadrature rate for the Gaussian chain, the calibrated constant for the
-two-term recursion).
+quadrature rate for the Gaussian chain, the log of Viswanath's constant for
+the two-term recursion).
 
 Usage: python scripts/growth_rate_survey.py [--seed 1] [--n 100000]
 """

@@ -15,9 +15,7 @@ from .chain import (
     WeightParameter,
     apply_step,
     initial_state,
-    iter_chains,
     run_chain,
-    run_chains,
     weighted_norm,
 )
 from .estimators import (
@@ -46,9 +44,7 @@ __all__ = [
     "WeightParameter",
     "apply_step",
     "initial_state",
-    "iter_chains",
     "run_chain",
-    "run_chains",
     "weighted_norm",
     "GrowthEstimate",
     "Method",

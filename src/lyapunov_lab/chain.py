@@ -9,8 +9,8 @@ each step, giving bounded memory with an auditable error budget.
 
 run_chain runs one trajectory through a compiled kernel (_chain_kernel.c),
 or through the reference loop of _step where no C compiler is found; both
-give the same numbers bit for bit. run_chains and iter_chains run several,
-one after another.
+give the same numbers bit for bit. An ensemble is a loop over run_chain,
+one stream per trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
     "apply_step",
     "weighted_norm",
     "run_chain",
-    "run_chains",
-    "iter_chains",
     "chain_engine",
     "DEFAULT_TRUNC_TOL",
     "MAX_TRUNC_TOL",
@@ -249,28 +247,6 @@ def run_chain(
         run = _run_compiled(kernel, law, n, rng, w, trunc_tol)
     _check_budget(run.final_state.dropped_mass, budget)
     return run
-
-
-def run_chains(
-    law: CoefficientLaw,
-    n: int,
-    rngs: Sequence[RngStream],
-    w: WeightParameter = WeightParameter(0.0),
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> list[ChainRun]:
-    """run_chain on each stream of rngs; element j equals run_chain(law, n, rngs[j]) bit for bit."""
-    return list(iter_chains(law, n, rngs, w, trunc_tol))
-
-
-def iter_chains(
-    law: CoefficientLaw,
-    n: int,
-    rngs: Sequence[RngStream],
-    w: WeightParameter = WeightParameter(0.0),
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> Iterator[ChainRun]:
-    """The runs of run_chains one by one, so a caller that keeps a summary of each holds one run at a time."""
-    return (run_chain(law, n, rng, w, trunc_tol) for rng in rngs)
 
 
 def _run_reference(

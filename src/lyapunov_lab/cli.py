@@ -80,26 +80,35 @@ def _require_n(args) -> None:
         raise ValueError("--n is required (on the command line or in the config file)")
 
 
+# the law each recursion model draws from, and the error for any other; the chain takes either
+_MODEL_LAWS = {
+    "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only"),
+    "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian"),
+    "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli"),
+}
+
+
+def _check_law(args) -> None:
+    law, message = _MODEL_LAWS.get(args.model, (args.law, None))
+    if args.law != law:
+        raise ValueError(message)
+
+
 def _cmd_simulate(args) -> tuple[dict, dict]:
     _require_n(args)
+    _check_law(args)
     law = law_from_name(args.law)
     rng = RngStream(args.seed, args.stream_id)
     if args.model == "exact":
-        if args.law != "bernoulli":
-            raise ValueError("exact integer mode is defined for the bernoulli law only")
         traj = recursion.run_exact(args.n, rng)
         series = traj.log_abs_series()
         results = {"model": "exact", "n": args.n, "log_abs_final": float(series[-1])}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(series))}
     elif args.model == "vt":
-        if args.law != "gaussian":
-            raise ValueError("the division recursion draws gaussian coefficients; use --law gaussian")
         out = recursion.run_vt(args.n, rng)
         results = {"model": "vt", "n": args.n, "rate": float(out[-1]) / args.n}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
     elif args.model == "fib":
-        if args.law != "bernoulli":
-            raise ValueError("the two-term recursion draws sign coefficients; use --law bernoulli")
         out = recursion.run_fibonacci(args.n, rng)
         results = {"model": "fib", "n": args.n, "rate": float(out[-1]) / args.n}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
@@ -137,8 +146,11 @@ def _chain_estimate(args, run: chain.ChainRun) -> estimators.GrowthEstimate:
 
 
 def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
-    """One trajectory of a recursion model; chain trajectories run together in _cmd_gamma."""
+    """The estimate of one trajectory, drawn from stream `stream` of args.seed."""
     rng = RngStream(args.seed, stream)
+    if args.model == "chain":
+        run = chain.run_chain(law_from_name(args.law), args.n, rng, chain.WeightParameter(args.c))
+        return _chain_estimate(args, run)
     if args.model == "exact":
         traj = recursion.run_exact(args.n, rng)
         return estimators.gamma_from_last_coordinate(traj.log_abs_series(), args.window_fraction)
@@ -155,12 +167,8 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
     _require_n(args)
-    if args.model == "chain":
-        rngs = [RngStream(args.seed, j) for j in range(args.trajectories)]
-        runs = chain.iter_chains(law_from_name(args.law), args.n, rngs, chain.WeightParameter(args.c))
-        ests = [_chain_estimate(args, run) for run in runs]
-    else:
-        ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories), args.threads)
+    _check_law(args)
+    ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories))
     est = estimators.pool_estimates(ests)
     results = {
         "gamma_hat": est.gamma_hat,
@@ -225,9 +233,7 @@ def _cmd_lo(args) -> tuple[dict, dict]:
 
 def _cmd_tails(args) -> tuple[dict, dict]:
     law = law_from_name(args.law)
-    stats = verification.tail_statistics(
-        law, args.n, args.chains, args.seed, args.max_index, threads=args.threads
-    )
+    stats = verification.tail_statistics(law, args.n, args.chains, args.seed, args.max_index)
     results = {
         "alpha": stats["alpha"],
         "max_z": stats["max_z"],
@@ -246,7 +252,7 @@ def _cmd_tails(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict]:
-    checks = verification.run_suite(args.suite, args.seed, args.threads)
+    checks = verification.run_suite(args.suite, args.seed)
     for cr in checks:
         print(verification.format_line(cr))
     failed = sum(1 for c in checks if not c.passed)
@@ -275,27 +281,8 @@ def _cmd_verify(args) -> tuple[dict, dict]:
 # parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
     p.add_argument("--seed", type=int, default=seed_default, help="64-bit unsigned seed")
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help=(
-            "worker threads for the vt, exact, alpha Monte Carlo and coupling ensembles; "
-            "chain ensembles run one trajectory after another in one thread; never changes results"
-        ),
-    )
     p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")
     p.add_argument("--config", type=str, default=None, help="JSON file of parameter defaults; flags win")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -37,14 +36,7 @@ def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
     return t, comp
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T], threads: int = 1) -> list[R]:
-    """Map fn over items, optionally on a thread pool.
-
-    Results always come back in input order, so reductions over them are
-    deterministic no matter how many workers ran.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """fn applied to each item, in input order."""
+    # benchmark v2 deletes this: perfbench/tracing.py times it under cli and verification
+    return [fn(it) for it in items]

@@ -177,12 +177,12 @@ def check_alpha_closed_form() -> CheckResult:
     )
 
 
-def check_vt_log4(seed: int = DEFAULT_SEED, n: int = 10_000, runs: int = 8, threads: int = 1) -> CheckResult:
+def check_vt_log4(seed: int = DEFAULT_SEED, n: int = 10_000, runs: int = 8) -> CheckResult:
     def one(stream: int) -> float:
         out = recursion.run_vt(n, RngStream(seed, stream))
         return float(out[-1]) / n
 
-    rates = ordered_map(one, range(runs), threads)
+    rates = ordered_map(one, range(runs))
     mean = float(np.mean(rates))
     target = math.log(4.0)
     return CheckResult(
@@ -241,7 +241,6 @@ def check_alpha_dominates_mc(
     seed: int = DEFAULT_SEED,
     samples: int = 100_000,
     vectors: int = 20,
-    threads: int = 1,
 ) -> CheckResult:
     gen = RngStream(seed, 20)
     cases: list[tuple[CoefficientLaw, np.ndarray, int]] = []
@@ -255,7 +254,7 @@ def check_alpha_dominates_mc(
         law, y, sid = case
         return bounds.verify_alpha_mc(law, y, samples, RngStream(seed, sid))
 
-    checks = ordered_map(one, cases, threads)
+    checks = ordered_map(one, cases)
     margins = [(c.empirical_mean - c.alpha) / c.stderr for c in checks]
     worst = max(margins)
     return CheckResult(
@@ -274,25 +273,23 @@ def tail_statistics(
     chains: int,
     seed: int,
     max_index: int = 50,
-    trunc_tol: float = chain.DEFAULT_TRUNC_TOL,
-    threads: int = 1,
-    stream_base: int = 1000,
+    threads: int = 1,  # ignored; benchmark v2 deletes it: perfbench/probes.py passes threads=2
 ) -> dict:
     """Coordinate tail means across independent chains vs the alpha^i bound.
 
-    Returns per-index across-chain means, standard errors, the alpha powers,
-    and the worst violation z-score max_i (mean_i - alpha^i) / se_i. The
-    standard errors need at least two chains. The chains run one after
-    another (chain.iter_chains) in this thread, so `threads` has no effect;
-    it stays for the callers that pass it.
+    Chain j runs on stream 1000 + j of seed. Returns per-index across-chain
+    means, standard errors, the alpha powers, and the worst violation
+    z-score max_i (mean_i - alpha^i) / se_i. The standard errors need at
+    least two chains.
     """
     if chains < 2:
         raise ValueError(f"chains must be >= 2 for a standard error, got {chains}")
+    if max_index < 0:
+        raise ValueError(f"max_index must be >= 0, got {max_index}")
     alpha = bounds.alpha_bound(law.sigma2, law.fourth_moment).alpha
-    rngs = [RngStream(seed, stream_base + j) for j in range(chains)]
     rows = np.zeros((chains, max_index + 1))
-    for row, run in zip(rows, chain.iter_chains(law, n, rngs, trunc_tol=trunc_tol)):
-        tm = run.tail_means[: max_index + 1]
+    for j, row in enumerate(rows):
+        tm = chain.run_chain(law, n, RngStream(seed, 1000 + j)).tail_means[: max_index + 1]
         row[: tm.size] = tm
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / math.sqrt(chains)
@@ -413,7 +410,6 @@ def check_theorem1_rates(
     chain_n: int = 1_000_000,
     exact_n: int = 2000,
     exact_trajectories: int = 16,
-    threads: int = 1,
 ) -> CheckResult:
     est_chain, _ = _chain_gamma(BERNOULLI, chain_n, seed, 100)
 
@@ -421,7 +417,7 @@ def check_theorem1_rates(
         traj = recursion.run_exact(exact_n, RngStream(seed, 200 + j))
         return estimators.gamma_from_last_coordinate(traj.log_abs_series())
 
-    est_exact = estimators.pool_estimates(ordered_map(one, range(exact_trajectories), threads))
+    est_exact = estimators.pool_estimates(ordered_map(one, range(exact_trajectories)))
     cmp = estimators.compare_rates(est_exact, est_chain)
     neg_log_alpha = -math.log(bounds.alpha_bound(1.0, 1.0).alpha)
     passed = cmp.verdict and est_chain.gamma_hat > 0.0 and est_chain.gamma_hat >= neg_log_alpha
@@ -441,7 +437,6 @@ def check_theorem9_weighted(
     seed: int = DEFAULT_SEED,
     n: int = 1_000_000,
     cs: tuple[float, ...] = (0.005, 0.01),
-    threads: int = 1,
 ) -> CheckResult:
     def one(jc: tuple[int, float]) -> tuple[float, bool]:
         j, c = jc
@@ -456,7 +451,7 @@ def check_theorem9_weighted(
         )
         return slope, estimators.compare_rates(est, weighted).verdict
 
-    results = ordered_map(one, list(enumerate(cs)), threads)
+    results = ordered_map(one, enumerate(cs))
     max_slope = max(s for s, _ in results)
     verdicts = all(v for _, v in results)
     return CheckResult(
@@ -476,8 +471,9 @@ def check_gaussian_rate(
     quad_order: int = 80,
 ) -> CheckResult:
     lam = gaussian.gaussian_log_moments(quad_order).lambda_v
-    runs = chain.run_chains(GAUSSIAN, n, [RngStream(seed, 400 + j) for j in range(trajectories)])
-    incs = np.concatenate([run.increments for run in runs])
+    incs = np.concatenate(
+        [chain.run_chain(GAUSSIAN, n, RngStream(seed, 400 + j)).increments for j in range(trajectories)]
+    )
     est = estimators.gamma_from_increments(incs)
     z = (est.gamma_hat - lam) / est.stderr
     return CheckResult(
@@ -496,7 +492,6 @@ def check_coupling_contraction(
     runs: int = 100,
     quad_order: int = 80,
     grid_size: int = 201,
-    threads: int = 1,
     eta_hat: float | None = None,
 ) -> CheckResult:
     if eta_hat is None:
@@ -506,7 +501,7 @@ def check_coupling_contraction(
         trace = gaussian.couple(n, RngStream(seed, 500 + j), rho0=0.0)
         return trace.mean_log_b, float(trace.log_a2[-1])
 
-    results = ordered_map(one, range(runs), threads)
+    results = ordered_map(one, range(runs))
     drift_ok = sum(1 for m, _ in results if m <= eta_hat + 0.05)
     merged = sum(1 for _, la in results if la < -100.0)
     passed = drift_ok >= 95 and merged >= 95
@@ -529,7 +524,7 @@ def _parity_ok(values: list[int]) -> bool:
     return True
 
 
-def check_exact_determinism(seed: int = DEFAULT_SEED, threads: int = 1) -> CheckResult:
+def check_exact_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
     problems: list[str] = []
 
     traj = recursion.run_exact(12, RngStream(seed, 0), sign_override=1)
@@ -540,7 +535,7 @@ def check_exact_determinism(seed: int = DEFAULT_SEED, threads: int = 1) -> Check
     def parity_one(j: int) -> bool:
         return _parity_ok(recursion.run_exact(500, RngStream(seed, 600 + j)).values)
 
-    if not all(ordered_map(parity_one, range(100), threads)):
+    if not all(ordered_map(parity_one, range(100))):
         problems.append("parity invariant failed")
 
     for idx, n in enumerate((500, 1000, 2000)):
@@ -575,21 +570,21 @@ EtaGetter = Callable[[], gaussian.EtaResult]
 Check = Callable[[], CheckResult]
 
 
-def suite_paper_constants(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
+def suite_paper_constants(seed: int, eta: EtaGetter) -> list[Check]:
     return [
         lambda: check_eta_value(res=eta()),
         lambda: check_eta_negative(res=eta()),
         lambda: check_chi2_log_moment(),
         lambda: check_alpha_closed_form(),
-        lambda: check_vt_log4(seed, threads=threads),
+        lambda: check_vt_log4(seed),
         lambda: check_fib_rate(seed),
     ]
 
 
-def suite_inequalities(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
+def suite_inequalities(seed: int, eta: EtaGetter) -> list[Check]:
     return [
         lambda: check_alpha_two_coord_enum(),
-        lambda: check_alpha_dominates_mc(seed, threads=threads),
+        lambda: check_alpha_dominates_mc(seed),
         lambda: check_corollary8_tails(seed),
         lambda: check_lo_bruteforce(seed),
         lambda: check_lo_erdos(),
@@ -597,13 +592,13 @@ def suite_inequalities(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
     ]
 
 
-def suite_consistency(seed: int, threads: int, eta: EtaGetter) -> list[Check]:
+def suite_consistency(seed: int, eta: EtaGetter) -> list[Check]:
     return [
-        lambda: check_theorem1_rates(seed, threads=threads),
-        lambda: check_theorem9_weighted(seed, threads=threads),
+        lambda: check_theorem1_rates(seed),
+        lambda: check_theorem9_weighted(seed),
         lambda: check_gaussian_rate(seed),
-        lambda: check_coupling_contraction(seed, threads=threads, eta_hat=eta().eta_hat),
-        lambda: check_exact_determinism(seed, threads=threads),
+        lambda: check_coupling_contraction(seed, eta_hat=eta().eta_hat),
+        lambda: check_exact_determinism(seed),
     ]
 
 
@@ -614,14 +609,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> list[CheckResult]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     eta = functools.cache(lambda: gaussian.eta(80, 201))
     suites = SUITES.values() if name == "all" else [SUITES[name]]
     results = []
     for suite in suites:
-        for check in suite(seed, threads, eta):
+        for check in suite(seed, eta):
             t0 = time.perf_counter()
             result = check()
             result.elapsed_s = time.perf_counter() - t0

@@ -15,7 +15,6 @@ from lyapunov_lab.chain import (
     apply_step,
     initial_state,
     run_chain,
-    run_chains,
     weighted_norm,
 )
 from lyapunov_lab.errors import TruncationBudgetError
@@ -170,10 +169,6 @@ def _assert_same_run(a, b):
     assert (a.law, a.c, a.trunc_tol) == (b.law, b.c, b.trunc_tol)
 
 
-def _streams(seed, count):
-    return [RngStream(seed, 40 + j) for j in range(count)]
-
-
 def _reference(law, n, rng, w=WeightParameter(0.0), trunc_tol=DEFAULT_TRUNC_TOL):
     return chain._run_reference(law, n, rng, w, trunc_tol)
 
@@ -194,86 +189,48 @@ def fresh_kernel():
     chain._kernel.cache_clear()
 
 
+@pytest.mark.parametrize("stream", [7, 40, 55])
 @pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n", [100, 1000, 2500])
 @pytest.mark.parametrize("c", [0.0, 0.005])
 @pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
-def test_kernel_equals_reference_bit_for_bit(compiled, law, c, n, seed, trunc_tol):
+def test_kernel_equals_reference_bit_for_bit(compiled, law, c, n, seed, trunc_tol, stream):
     w = WeightParameter(c)
-    run = run_chain(law, n, RngStream(seed, 7), w, trunc_tol)
-    _assert_same_run(run, _reference(law, n, RngStream(seed, 7), w, trunc_tol))
+    run = run_chain(law, n, RngStream(seed, stream), w, trunc_tol)
+    _assert_same_run(run, _reference(law, n, RngStream(seed, stream), w, trunc_tol))
     if trunc_tol == MAX_TRUNC_TOL and n >= 1000:
         assert run.final_state.dropped_mass > 0.0
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("n", [100, 1000])
-@pytest.mark.parametrize("count", [1, 2, 8, 16])
-@pytest.mark.parametrize("c", [0.0, 0.005])
-@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
-def test_run_chains_equals_run_chain_bit_for_bit(compiled, law, c, count, n, seed):
-    w = WeightParameter(c)
-    runs = run_chains(law, n, _streams(seed, count), w)
-    assert len(runs) == count
-    for j, run in enumerate(runs):
-        _assert_same_run(run, _reference(law, n, RngStream(seed, 40 + j), w))
-
-
 @pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
-def test_run_chains_matches_through_truncation_and_buffer_moves(compiled, trunc_tol):
+def test_run_chain_matches_through_truncation_and_buffer_moves(compiled, trunc_tol):
     # the kernel's 512-entry buffer moves the live block to its end every
     # few hundred steps; the support rises from e0 and then shrinks
     # whenever the truncation walk drops a tail
     n = 2500
-    runs = run_chains(BERNOULLI, n, _streams(5, 4), trunc_tol=trunc_tol)
-    for j, run in enumerate(runs):
-        _assert_same_run(run, _reference(BERNOULLI, n, RngStream(5, 40 + j), trunc_tol=trunc_tol))
+    for stream in range(40, 44):
+        run = run_chain(BERNOULLI, n, RngStream(5, stream), trunc_tol=trunc_tol)
+        _assert_same_run(run, _reference(BERNOULLI, n, RngStream(5, stream), trunc_tol=trunc_tol))
         assert run.final_state.dropped_mass > 0.0
         assert run.final_state.coords.size < 200  # of the n + 1 the support would reach untruncated
 
 
-def test_run_chains_matches_when_the_buffer_grows(compiled, monkeypatch):
+def test_run_chain_matches_when_the_buffer_grows(compiled, monkeypatch):
     # from 16 entries the buffer doubles four or five times as the support grows to 100-130
     monkeypatch.setattr(chain, "_KERNEL_ROWS", 16)
     for c in (0.0, 0.005):
-        runs = run_chains(GAUSSIAN, 600, _streams(9, 4), WeightParameter(c))
-        for j, run in enumerate(runs):
-            _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, 40 + j), WeightParameter(c)))
+        for stream in range(40, 44):
+            run = run_chain(GAUSSIAN, 600, RngStream(9, stream), WeightParameter(c))
+            _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, stream), WeightParameter(c)))
 
 
-def test_iter_chains_batches_streams(monkeypatch):
-    # one stream at a time: a run starts only when the caller asks for it
-    started = []
-    real = chain.run_chain
-
-    def counted(law, n, rng, *args):
-        started.append(rng.stream_id)
-        return real(law, n, rng, *args)
-
-    monkeypatch.setattr(chain, "run_chain", counted)
-    runs = chain.iter_chains(BERNOULLI, 200, _streams(6, 11))
-    for j in range(11):
-        _assert_same_run(next(runs), _reference(BERNOULLI, 200, RngStream(6, 40 + j)))
-        assert started == [40 + i for i in range(j + 1)]
-    assert next(runs, None) is None
-
-
-def test_run_chains_keeps_the_checks_of_run_chain(monkeypatch):
-    with pytest.raises(ValueError, match="n must be"):
-        run_chains(BERNOULLI, 99, _streams(0, 4))
-    with pytest.raises(ValueError, match="trunc_tol"):
-        run_chains(BERNOULLI, 100, _streams(0, 4), trunc_tol=1e-7)
-    with pytest.raises(ValueError, match="c="):
-        run_chains(BERNOULLI, 100, _streams(0, 4), WeightParameter(0.02))
-    assert run_chains(BERNOULLI, 100, []) == []
-    # a budget no drop fits: every trajectory's dropped mass is checked against it
+def test_run_chain_checks_the_truncation_budget(monkeypatch):
+    # a budget no drop fits: the run's dropped mass is checked against it
     real = chain._check_run
     monkeypatch.setattr(chain, "_check_run", lambda *args: real(*args) * 1e-300)
     with pytest.raises(TruncationBudgetError):
         run_chain(BERNOULLI, 300, RngStream(0, 40))
-    with pytest.raises(TruncationBudgetError):
-        run_chains(BERNOULLI, 300, _streams(0, 4))
 
 
 def test_run_chain_rejects_rows_past_the_counter_limb():

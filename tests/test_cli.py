@@ -141,13 +141,6 @@ def test_gamma_chain_weighted_method(capsys):
     assert payload["gamma_hat"] > 0
 
 
-def test_gamma_threads_do_not_change_results(capsys):
-    argv = ["gamma", "--model", "chain", "--n", "2000", "--trajectories", "3", "--seed", "3"]
-    _, out1 = _run(capsys, argv + ["--threads", "1"])
-    _, out4 = _run(capsys, argv + ["--threads", "4"])
-    assert out1 == out4
-
-
 def test_couple_trace(tmp_path, capsys):
     out_dir = tmp_path / "couple"
     code, out = _run(
@@ -214,13 +207,33 @@ def test_module_entry_points():
     assert "invalid choice" in done.stderr
 
 
-def test_usage_errors_exit_two(capsys):
-    assert dispatch(["simulate", "--model", "exact", "--n", "10", "--law", "gaussian"]) == 2
-    assert dispatch(["simulate", "--model", "vt", "--n", "10", "--law", "bernoulli"]) == 2
-    assert dispatch(["nonsense"]) == 2
-    assert dispatch(["alpha", "--sigma2", "2", "--fourth-moment", "1"]) == 2
-    assert dispatch(["lo", "--coeffs", "1,0,3"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonsense"], "invalid choice"),
+        (["alpha", "--sigma2", "2", "--fourth-moment", "1"], "violates Jensen"),
+        (["lo", "--coeffs", "1,0,3"], "must be nonzero"),
+        (["tails", "--n", "200", "--chains", "2", "--max-index", "-1"], "max_index must be >= 0"),
+        (["gamma", "--model", "chain", "--n", "200", "--threads", "2"], "unrecognized arguments: --threads"),
+    ],
+)
+def test_usage_errors_exit_two(capsys, argv, message):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("model, law", [("exact", "gaussian"), ("vt", "bernoulli"), ("fib", "gaussian")])
+def test_law_a_recursion_model_does_not_draw_exits_two(capsys, model, law):
+    errors = []
+    for command in ("simulate", "gamma"):
+        assert dispatch([command, "--model", model, "--law", law, "--n", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and "law" in errors[0]
 
 
 def test_exact_step_cap_maps_to_usage_error(capsys):
@@ -238,15 +251,6 @@ def test_vt_step_cap_maps_to_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["gamma", "--model", "chain", "--n", "200"], ["tails", "--n", "200"]])
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_one_exit_two(capsys, argv, threads):
-    assert dispatch(argv + ["--threads", threads]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--threads: must be >= 1" in captured.err
-
-
 @pytest.mark.parametrize("argv", [["--coeffs", "-5,3"], ["--coeffs=-5,3"], ["--seed", "4", "--coeffs", "-5,3,-2"]])
 def test_lo_coefficients_may_start_with_a_minus_sign(capsys, argv):
     code, out = _run(capsys, ["lo"] + argv)
@@ -254,17 +258,6 @@ def test_lo_coefficients_may_start_with_a_minus_sign(capsys, argv):
     payload = json.loads(out)
     assert payload["coefficients"][:2] == [-5, 3]
     assert payload["max_atom"] == ("1/2^2" if payload["k"] == 2 else "2/2^3")
-
-
-def test_tails_threads_do_not_change_results(tmp_path, capsys):
-    outs = []
-    for threads in ("1", "4"):
-        out_dir = tmp_path / threads
-        argv = ["tails", "--n", "300", "--chains", "6", "--seed", "12", "--out", str(out_dir), "--no-timestamps"]
-        code, out = _run(capsys, argv + ["--threads", threads])
-        assert code == 0
-        outs.append((out, (out_dir / "tails.csv").read_bytes()))
-    assert outs[0] == outs[1]
 
 
 def test_config_file_fills_missing_parameters(tmp_path, capsys):
@@ -311,6 +304,7 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
         ({"n": 20.5}, "invalid int value"),
         ({"law": "cauchy"}, "invalid choice"),
         ({"bogus": 1}, "unrecognized arguments"),
+        ({"threads": 2}, "unrecognized arguments: --threads=2"),
         ({"n": None}, "must be a string, a number or true"),
         ([20], "JSON object"),
     ],
