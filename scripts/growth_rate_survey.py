@@ -3,8 +3,8 @@
 
 Prints one line per (model, law) with the estimate, standard error, and the
 reference value where one exists (log 4 for the division recursion, the
-quadrature rate for the Gaussian chain, the log of Viswanath's constant for
-the two-term recursion).
+closed-form rate gaussian.LAMBDA_V = E log(1+g^2)/2 for the Gaussian
+chain, the log of Viswanath's constant for the two-term recursion).
 
 Usage: python scripts/growth_rate_survey.py [--seed 1] [--n 100000]
 """
@@ -14,7 +14,7 @@ import math
 
 from lyapunov_lab.chain import run_chain
 from lyapunov_lab.estimators import Method, gamma_from_increments, gamma_from_last_coordinate
-from lyapunov_lab.gaussian import gaussian_log_moments
+from lyapunov_lab.gaussian import LAMBDA_V
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
 from lyapunov_lab.recursion import run_exact, run_fibonacci, run_vt
 from lyapunov_lab.verification import GAMMA_FIB_ORACLE
@@ -35,7 +35,7 @@ def main() -> None:
 
     run = run_chain(GAUSSIAN, n, RngStream(seed, 1))
     est = gamma_from_increments(run.increments)
-    rows.append(("chain", "gaussian", est.gamma_hat, est.stderr, gaussian_log_moments().lambda_v))
+    rows.append(("chain", "gaussian", est.gamma_hat, est.stderr, LAMBDA_V))
 
     traj = run_exact(2000, RngStream(seed, 2))
     est = gamma_from_last_coordinate(traj.log_abs_series())

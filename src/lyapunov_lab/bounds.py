@@ -55,12 +55,13 @@ def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0
     a* = (-3 + sqrt(9+8s))/4, evaluated as 2s/(3 + sqrt(9+8s)) to avoid
     cancellation when s is small.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    if fourth_moment < sigma2**2:
+    # each test is negated so that NaN fails it
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be positive and finite")
+    if not fourth_moment >= sigma2 * sigma2:
         raise ValueError("fourth moment below sigma2^2 violates Jensen")
-    if zeta_sq_factor <= 0:
-        raise ValueError("zeta_sq_factor must be positive")
+    if not 0.0 < zeta_sq_factor < math.inf:
+        raise ValueError("zeta_sq_factor must be positive and finite")
     a_star = 2.0 * sigma2 / (3.0 + math.sqrt(9.0 + 8.0 * sigma2))
     f_star = a_star * (sigma2 - a_star) ** 2 / (zeta_sq_factor * fourth_moment * (1.0 + a_star))
     return AlphaResult(

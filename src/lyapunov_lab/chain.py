@@ -79,8 +79,8 @@ class WeightParameter:
     c: float
 
     def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError("weight exponent c must be >= 0")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"weight exponent c must be finite and >= 0, got {self.c}")
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -190,14 +191,7 @@ def _cmd_alpha(args) -> tuple[dict, dict]:
 
 
 def _cmd_eta(args) -> tuple[dict, dict]:
-    res = gaussian.eta(args.quad_order, args.grid)
-    results = {
-        "eta_hat": res.eta_hat,
-        "quad_order": res.quad_order,
-        "grid_size": int(res.rho_grid.size),
-    }
-    files = {"eta_grid.csv": (("rho", "mean_f"), zip(res.rho_grid, res.mean_f))}
-    return results, files
+    return {"eta_hat": gaussian.ETA}, {}
 
 
 def _cmd_couple(args) -> tuple[dict, dict]:
@@ -281,6 +275,17 @@ def _cmd_verify(args) -> tuple[dict, dict]:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number, or a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
     p.add_argument("--seed", type=int, default=seed_default, help="64-bit unsigned seed")
     p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")
@@ -300,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--stream-id", type=int, default=0)
-    p.add_argument("--c", type=float, default=0.0, help="weight exponent (chain model)")
-    p.add_argument("--trunc-tol", type=float, default=chain.DEFAULT_TRUNC_TOL)
+    p.add_argument("--c", type=_finite_float, default=0.0, help="weight exponent (chain model)")
+    p.add_argument("--trunc-tol", type=_finite_float, default=chain.DEFAULT_TRUNC_TOL)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -310,28 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trajectories", type=int, default=1)
-    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--c", type=_finite_float, default=0.0)
     p.add_argument("--batch-length", type=int, default=None)
-    p.add_argument("--window-fraction", type=float, default=0.5)
+    p.add_argument("--window-fraction", type=_finite_float, default=0.5)
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("alpha", help="contraction constant for given moments")
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--fourth-moment", type=float, required=True)
-    p.add_argument("--zeta-sq-factor", type=float, default=7.0)
+    p.add_argument("--sigma2", type=_finite_float, required=True)
+    p.add_argument("--fourth-moment", type=_finite_float, required=True)
+    p.add_argument("--zeta-sq-factor", type=_finite_float, default=7.0)
     _add_common(p)
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("eta", help="worst-case expected contraction by quadrature")
-    p.add_argument("--quad-order", type=int, default=80)
-    p.add_argument("--grid", type=int, default=201)
+    p = sub.add_parser("eta", help="worst-case expected contraction, in closed form")
     _add_common(p)
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("couple", help="two-chain coupling trace")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rho0", type=float, default=0.0)
+    p.add_argument("--rho0", type=_finite_float, default=0.0)
     p.add_argument("--stream-id", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_couple)

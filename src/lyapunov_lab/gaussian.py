@@ -5,9 +5,11 @@ exponentially fast. With rho the inner product of the two unit states and
 a^2 = 1 - rho^2 the squared misalignment, one step multiplies a^2 by b,
 where log b = F(rho, g, w) for the standard Gaussian pair (g, w). This
 module evaluates F, its expectation over (g, w) by tensor Gauss-Hermite
-quadrature, the worst case eta = max_rho E F, and the scalar coupling
-recursion itself. It also computes the log-moment constants that give the
-growth rate of the Gaussian full-history recursion in closed form.
+quadrature, and the scalar coupling recursion itself. The Gaussian
+constants E_LOG1P_G2 = E log(1+g^2), the growth rate LAMBDA_V and the
+worst-case contraction ETA = max_rho E F are closed forms; the quadrature
+routines are the independent values that the verification checks compare
+them with.
 """
 
 from __future__ import annotations
@@ -18,10 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import erfi, exp1
 
 from .laws import GAUSSIAN, ROW_CHUNK, RngStream, sample_rows
 
 __all__ = [
+    "E_LOG1P_G2",
+    "ETA",
+    "LAMBDA_V",
     "CouplingTrace",
     "EtaResult",
     "LogMoments",
@@ -33,6 +39,36 @@ __all__ = [
 ]
 
 _LIMIT_A2 = 1e-12  # below this squared misalignment, use the rho = 1 limit form
+
+
+def _e_log1p_g2() -> float:
+    """E log(1+g^2) for a standard normal g, in closed form.
+
+    d/da E log(a+g^2) = E 1/(a+g^2) = sqrt(pi/(2a)) e^(a/2) erfc(sqrt(a/2)).
+    Integrated from a = 0, where E log g^2 = -gamma - log 2, this gives
+    -gamma - log 2 + pi erfi(1/sqrt 2) - 2 sum_(n>=0) 1/((2n+2) (2n+1)!!).
+    The fifteenth term of the sum is 5.4e-18.
+    """
+    total, odd_factorial = 0.0, 1.0
+    for n in range(15):
+        odd_factorial *= 2 * n + 1
+        total += 1.0 / ((2 * n + 2) * odd_factorial)
+    return -np.euler_gamma - math.log(2.0) + math.pi * float(erfi(1.0 / math.sqrt(2.0))) - 2.0 * total
+
+
+E_LOG1P_G2 = _e_log1p_g2()
+"""E log(1+g^2) = 0.5334531798441349 for a standard normal g."""
+
+LAMBDA_V = 0.5 * E_LOG1P_G2
+"""Growth rate of the Gaussian full-history recursion. Conditioned on the
+current unit state, the new coordinate is a standard normal, so the squared
+norm multiplies by 1 + g^2 each step and the rate is E log(1+g^2) / 2."""
+
+ETA = math.exp(0.5) * float(exp1(0.5)) - 2.0 * E_LOG1P_G2
+"""Worst-case expected contraction max_rho E F = -0.1439957272045392. The
+first log argument of F is distributed as 1 + g^2 + w^2, whose log has mean
+exp(1/2) E1(1/2), and rho g + a w is standard normal, so E F takes this
+value at every rho."""
 
 
 def contraction_f(rho: float, g, w):
@@ -92,14 +128,13 @@ class EtaResult:
 
 
 def eta(quad_order: int = 80, grid_size: int = 201) -> EtaResult:
-    """Worst-case expected contraction: max over rho in [0,1] of E F.
+    """Worst-case expected contraction by quadrature: max over a rho grid of E F.
 
     Takes the maximum of E F over a uniform rho grid and keeps the grid
-    table for inspection. E F is the same for every rho (the first log
-    argument of F is distributed as 1 + g^2 + w^2, and rho g + a w is
-    standard normal), so refining between grid points would move the
-    maximum by quadrature noise only; verification.check_eta_value fails
-    when the spread of the grid exceeds 1e-7.
+    table for inspection. The library's value of eta is the closed form
+    ETA; this scan is the independent value verification.check_eta_value
+    compares it with, and that check fails when the spread of the grid
+    exceeds 1e-7, since E F is flat in rho.
     """
     if grid_size < 101:
         raise ValueError("grid_size must be >= 101")
@@ -161,16 +196,6 @@ class LogMoments:
     e_log1p_g2: float
     e_log1p_g2_w2: float
     quad_order: int
-
-    @property
-    def lambda_v(self) -> float:
-        """Growth rate of the Gaussian full-history recursion.
-
-        Conditioned on the current unit state, the new coordinate is a
-        standard normal, so the squared norm multiplies by 1 + g^2 each
-        step and the rate is E log(1+g^2) / 2.
-        """
-        return 0.5 * self.e_log1p_g2
 
 
 def gaussian_log_moments(quad_order: int = 80) -> LogMoments:

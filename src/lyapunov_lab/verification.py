@@ -8,7 +8,6 @@ both run these; seeds are frozen so every run is replayable bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections.abc import Callable
@@ -74,38 +73,16 @@ def format_line(cr: CheckResult) -> str:
 # constants and closed forms
 
 
-def _eta_closed_form() -> float:
-    """E F(rho, g, w), which is the same for every rho.
-
-    The first log argument of F is 1 + g^2 + w^2, chi-square(2) plus one,
-    and the rotated coordinate rho g + a w is standard normal, so
-    E F = exp(1/2) E1(1/2) - 2 E log(1+g^2). The last moment is integrated
-    adaptively against the normal density, independently of the
-    Gauss-Hermite tables of `gaussian`.
-    """
-    # deferred: the CLI imports this module, and only this check integrates
-    from scipy import integrate
-
-    def log1p_density(x: float) -> float:
-        return math.log1p(x * x) * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    e_log1p_g2 = integrate.quad(log1p_density, -math.inf, math.inf, epsabs=1e-14, epsrel=1e-13)[0]
-    return math.exp(0.5) * float(exp1(0.5)) - 2.0 * e_log1p_g2
-
-
 ETA_MAX_SPREAD = 1e-7
 """Largest spread of E F over the rho grid that check_eta_value accepts.
 gaussian.eta takes the grid maximum without refining it, which is safe
 only while E F is flat in rho (the spread is 7.8e-9 at 80 nodes, 201 rhos)."""
 
 
-def check_eta_value(
-    quad_order: int = 80, grid_size: int = 201, res: gaussian.EtaResult | None = None
-) -> CheckResult:
-    """res, when given, is gaussian.eta(quad_order, grid_size) computed by the caller."""
-    if res is None:
-        res = gaussian.eta(quad_order, grid_size)
-    closed = _eta_closed_form()
+def check_eta_value() -> CheckResult:
+    """The closed form gaussian.ETA against the 201-point quadrature scan of E F over rho."""
+    res = gaussian.eta(80, 201)
+    closed = gaussian.ETA
     spread = float(res.mean_f.max() - res.mean_f.min())
     return CheckResult(
         name="eta_value",
@@ -120,17 +97,13 @@ def check_eta_value(
     )
 
 
-def check_eta_negative(
-    quad_order: int = 80, grid_size: int = 201, res: gaussian.EtaResult | None = None
-) -> CheckResult:
-    if res is None:
-        res = gaussian.eta(quad_order, grid_size)
+def check_eta_negative() -> CheckResult:
     return CheckResult(
         name="eta_negative",
         expected="< 0",
-        observed=f"{res.eta_hat:.5f}",
+        observed=f"{gaussian.ETA:.5f}",
         tolerance="strict sign",
-        passed=res.eta_hat < 0.0,
+        passed=gaussian.ETA < 0.0,
     )
 
 
@@ -212,8 +185,14 @@ def check_fib_rate(seed: int = DEFAULT_SEED, n: int = 1_000_000) -> CheckResult:
 # inequalities
 
 
-def check_alpha_two_coord_enum() -> CheckResult:
-    # y = (1,1)/sqrt(2), signs enumerate to g in {-sqrt2, 0, 0, sqrt2}
+def check_alpha_two_coord_enum(seed: int = DEFAULT_SEED) -> CheckResult:
+    """E(1+<eps, y>^2)^(-1/2) at y = (1,1)/sqrt(2), exactly and by bounds.verify_alpha_mc.
+
+    The four sign patterns give g in {-sqrt2, 0, 0, sqrt2}, so the exact
+    mean is (1 + 1/sqrt3)/2 = 0.7886751. The Monte Carlo estimate of the
+    library, on stream 19, must pass its own alpha test and lie within
+    3 standard errors of the enumerated value.
+    """
     y = np.array([1.0, 1.0]) / math.sqrt(2.0)
     total = 0.0
     for s0 in (-1.0, 1.0):
@@ -221,12 +200,15 @@ def check_alpha_two_coord_enum() -> CheckResult:
             g = s0 * y[0] + s1 * y[1]
             total += 1.0 / math.sqrt(1.0 + g * g)
     value = total / 4.0
+    mc = bounds.verify_alpha_mc(BERNOULLI, y, 100_000, RngStream(seed, 19))
+    z = (mc.empirical_mean - value) / mc.stderr
     return CheckResult(
         name="alpha_two_coord_enum",
         expected="0.78868",
         observed=f"{value:.7f}",
-        tolerance="1e-5",
-        passed=abs(value - 0.78868) < 1e-5,
+        tolerance="1e-5, MC 3 se",
+        passed=abs(value - 0.78868) < 1e-5 and mc.passed and abs(z) <= 3.0,
+        details=f"MC {mc.empirical_mean:.5f}+-{mc.stderr:.5f} (z={z:.2f}), {mc.samples} samples",
     )
 
 
@@ -468,9 +450,8 @@ def check_gaussian_rate(
     seed: int = DEFAULT_SEED,
     n: int = 1_000_000,
     trajectories: int = 4,
-    quad_order: int = 80,
 ) -> CheckResult:
-    lam = gaussian.gaussian_log_moments(quad_order).lambda_v
+    lam = gaussian.LAMBDA_V
     incs = np.concatenate(
         [chain.run_chain(GAUSSIAN, n, RngStream(seed, 400 + j)).increments for j in range(trajectories)]
     )
@@ -490,19 +471,13 @@ def check_coupling_contraction(
     seed: int = DEFAULT_SEED,
     n: int = 5000,
     runs: int = 100,
-    quad_order: int = 80,
-    grid_size: int = 201,
-    eta_hat: float | None = None,
 ) -> CheckResult:
-    if eta_hat is None:
-        eta_hat = gaussian.eta(quad_order, grid_size).eta_hat
-
     def one(j: int) -> tuple[float, float]:
         trace = gaussian.couple(n, RngStream(seed, 500 + j), rho0=0.0)
         return trace.mean_log_b, float(trace.log_a2[-1])
 
     results = ordered_map(one, range(runs))
-    drift_ok = sum(1 for m, _ in results if m <= eta_hat + 0.05)
+    drift_ok = sum(1 for m, _ in results if m <= gaussian.ETA + 0.05)
     merged = sum(1 for _, la in results if la < -100.0)
     passed = drift_ok >= 95 and merged >= 95
     return CheckResult(
@@ -511,7 +486,7 @@ def check_coupling_contraction(
         observed=f"drift ok {drift_ok}/{runs}, merged {merged}/{runs}",
         tolerance="95 of 100",
         passed=passed,
-        details=f"n={n}, rho0=0, eta_hat={eta_hat:.5f}",
+        details=f"n={n}, rho0=0, eta={gaussian.ETA:.5f}",
     )
 
 
@@ -562,18 +537,13 @@ def check_exact_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 # A suite is a list of checks not yet run, so that run_suite can time each.
-# A suite that needs the 201-point quadrature scan gaussian.eta(80, 201)
-# takes `eta`, a getter that computes it on first call and then returns
-# the same result, so `--suite all` computes it once (within the first
-# check that needs it) and a suite that does not need it computes it never.
-EtaGetter = Callable[[], gaussian.EtaResult]
 Check = Callable[[], CheckResult]
 
 
-def suite_paper_constants(seed: int, eta: EtaGetter) -> list[Check]:
+def suite_paper_constants(seed: int) -> list[Check]:
     return [
-        lambda: check_eta_value(res=eta()),
-        lambda: check_eta_negative(res=eta()),
+        lambda: check_eta_value(),
+        lambda: check_eta_negative(),
         lambda: check_chi2_log_moment(),
         lambda: check_alpha_closed_form(),
         lambda: check_vt_log4(seed),
@@ -581,9 +551,9 @@ def suite_paper_constants(seed: int, eta: EtaGetter) -> list[Check]:
     ]
 
 
-def suite_inequalities(seed: int, eta: EtaGetter) -> list[Check]:
+def suite_inequalities(seed: int) -> list[Check]:
     return [
-        lambda: check_alpha_two_coord_enum(),
+        lambda: check_alpha_two_coord_enum(seed),
         lambda: check_alpha_dominates_mc(seed),
         lambda: check_corollary8_tails(seed),
         lambda: check_lo_bruteforce(seed),
@@ -592,12 +562,12 @@ def suite_inequalities(seed: int, eta: EtaGetter) -> list[Check]:
     ]
 
 
-def suite_consistency(seed: int, eta: EtaGetter) -> list[Check]:
+def suite_consistency(seed: int) -> list[Check]:
     return [
         lambda: check_theorem1_rates(seed),
         lambda: check_theorem9_weighted(seed),
         lambda: check_gaussian_rate(seed),
-        lambda: check_coupling_contraction(seed, eta_hat=eta().eta_hat),
+        lambda: check_coupling_contraction(seed),
         lambda: check_exact_determinism(seed),
     ]
 
@@ -612,11 +582,10 @@ SUITES = {
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    eta = functools.cache(lambda: gaussian.eta(80, 201))
     suites = SUITES.values() if name == "all" else [SUITES[name]]
     results = []
     for suite in suites:
-        for check in suite(seed, eta):
+        for check in suite(seed):
             t0 = time.perf_counter()
             result = check()
             result.elapsed_s = time.perf_counter() - t0

@@ -67,6 +67,10 @@ def test_alpha_domain_errors():
         alpha_bound(0.0, 1.0)
     with pytest.raises(ValueError):
         alpha_bound(2.0, 1.0)
+    # NaN fails every range test, and sigma2 and the factor must be finite
+    for args in ((math.nan, 1.0), (1.0, math.nan), (1.0, 1.0, math.nan), (math.inf, math.inf), (1.0, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            alpha_bound(*args)
 
 
 def test_tail_bound_deterministic_case():

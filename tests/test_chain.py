@@ -135,8 +135,9 @@ def test_run_chain_preconditions():
     # -log(alpha) is about 0.0163 for the sign law: c above it is rejected
     with pytest.raises(ValueError):
         run_chain(BERNOULLI, 1000, RngStream(0, 0), w=WeightParameter(0.02))
-    with pytest.raises(ValueError):
-        WeightParameter(-0.1)
+    for c in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            WeightParameter(c)
 
 
 @pytest.mark.parametrize("tol", [0.5, 2e-8, 0.0, -1.0, math.nan, math.inf])

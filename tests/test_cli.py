@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapunov_lab import chain, cli, verification
+from lyapunov_lab import chain, cli, gaussian, verification
 from lyapunov_lab.cli import dispatch
 
 
@@ -38,25 +38,21 @@ def test_lo_json(capsys):
 
 def test_eta_json_and_grid(tmp_path, capsys):
     out_dir = tmp_path / "eta"
-    code, out = _run(
-        capsys,
-        ["eta", "--quad-order", "20", "--grid", "101", "--out", str(out_dir), "--no-timestamps"],
-    )
+    code, out = _run(capsys, ["eta", "--out", str(out_dir), "--no-timestamps"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["eta_hat"] < 0.0
-    grid = (out_dir / "eta_grid.csv").read_text().splitlines()
-    assert grid[0] == "rho,mean_f"
-    assert len(grid) == 102
+    assert payload == {"eta_hat": gaussian.ETA}
+    assert [p.name for p in out_dir.iterdir()] == ["manifest.json"]  # no grid CSV
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(manifest) == {
         "command", "parameters", "seed", "artifact_version",
         "started_at", "finished_at", "results",
     }
     assert manifest["command"] == "eta"
-    assert manifest["results"]["eta_hat"] == payload["eta_hat"]
-    assert set(payload) == {"eta_hat", "quad_order", "grid_size"}
+    assert manifest["results"] == payload
     assert manifest["started_at"] is None
+    assert dispatch(["eta", "--grid", "101"]) == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
 def test_simulate_exact_csv_roundtrip(tmp_path, capsys):
@@ -215,6 +211,20 @@ def test_module_entry_points():
         (["lo", "--coeffs", "1,0,3"], "must be nonzero"),
         (["tails", "--n", "200", "--chains", "2", "--max-index", "-1"], "max_index must be >= 0"),
         (["gamma", "--model", "chain", "--n", "200", "--threads", "2"], "unrecognized arguments: --threads"),
+        (["gamma", "--model", "chain", "--n", "200", "--c", "nan"], "argument --c: 'nan' is not a finite"),
+        (
+            ["gamma", "--model", "chain", "--n", "200", "--window-fraction", "nan"],
+            "argument --window-fraction: 'nan' is not a finite",
+        ),
+        (["simulate", "--model", "chain", "--n", "200", "--c", "nan"], "argument --c: 'nan' is not a finite"),
+        (["simulate", "--model", "chain", "--n", "200", "--trunc-tol", "inf"], "argument --trunc-tol: 'inf'"),
+        (["alpha", "--sigma2", "nan", "--fourth-moment", "1"], "argument --sigma2: 'nan' is not a finite"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "nan"], "argument --fourth-moment: 'nan'"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "inf"], "argument --fourth-moment: 'inf'"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "nan"], "--zeta-sq-factor: 'nan'"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "inf"], "--zeta-sq-factor: 'inf'"),
+        (["alpha", "--sigma2", "one", "--fourth-moment", "1"], "argument --sigma2: 'one' is not a number"),
+        (["couple", "--n", "10", "--rho0", "inf"], "argument --rho0: 'inf' is not a finite"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, message):
@@ -319,11 +329,14 @@ def test_bad_config_value_exits_two(tmp_path, capsys, config, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("tol", ["0.5", "-1", "nan"])
-def test_trunc_tol_out_of_range_exits_two(capsys, tol):
+@pytest.mark.parametrize(
+    "tol, message",
+    [("0.5", "trunc_tol=0.5 outside"), ("-1", "trunc_tol=-1.0 outside"), ("nan", "argument --trunc-tol: 'nan'")],
+)
+def test_trunc_tol_out_of_range_exits_two(capsys, tol, message):
     argv = ["simulate", "--model", "chain", "--n", "200", "--trunc-tol", tol]
     assert dispatch(argv) == 2
-    assert "trunc_tol" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
@@ -347,8 +360,6 @@ def test_verify_exit_codes(monkeypatch, capsys):
 
 
 def test_verify_all_computes_eta_once(monkeypatch, capsys):
-    from lyapunov_lab import gaussian
-
     calls = []
     real_eta = gaussian.eta
 
@@ -356,32 +367,49 @@ def test_verify_all_computes_eta_once(monkeypatch, capsys):
         calls.append(args)
         return real_eta(*args, **kwargs)
 
-    def stub(name):
-        return lambda *args, **kwargs: verification.CheckResult(name, "x", "x", "0", True)
-
-    coupling_eta = []
-
-    def coupling(*args, eta_hat=None, **kwargs):
-        coupling_eta.append(eta_hat)
-        return stub("coupling_contraction")()
-
-    # the simulation-heavy checks are stubbed; the eta checks run for real
-    for name in (
-        "check_vt_log4", "check_fib_rate", "check_alpha_dominates_mc", "check_corollary8_tails",
-        "check_lo_bruteforce", "check_theorem1_rates", "check_theorem9_weighted",
-        "check_gaussian_rate", "check_exact_determinism",
-    ):
-        monkeypatch.setattr(verification, name, stub(name))
-    monkeypatch.setattr(verification, "check_coupling_contraction", coupling)
+    # every check runs for real, the simulations at small sizes; their
+    # verdicts do not matter here, only which of them scans rho
+    small = {
+        "check_vt_log4": dict(n=200, runs=2),
+        "check_fib_rate": dict(n=2000),
+        "check_alpha_dominates_mc": dict(samples=1000, vectors=2),
+        "check_corollary8_tails": dict(n=200, chains=4),
+        "check_theorem1_rates": dict(chain_n=2000, exact_n=200, exact_trajectories=2),
+        "check_theorem9_weighted": dict(n=2000),
+        "check_gaussian_rate": dict(n=2000, trajectories=2),
+        "check_coupling_contraction": dict(n=200, runs=2),
+    }
+    for name, sizes in small.items():
+        real = getattr(verification, name)
+        monkeypatch.setattr(verification, name, lambda seed, real=real, sizes=sizes: real(seed, **sizes))
+    monkeypatch.setattr(
+        verification, "check_exact_determinism", lambda seed: verification.CheckResult("exact", "x", "x", "0", True)
+    )
     monkeypatch.setattr(gaussian, "eta", counted)
-    assert dispatch(["verify", "--suite", "all"]) == 0
+    dispatch(["verify", "--suite", "all"])
     out = capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == [(80, 201)]
     assert "[PASS] eta_value" in out and "[PASS] eta_negative" in out
-    assert coupling_eta == [real_eta(80, 201).eta_hat]
-    calls.clear()  # a suite without the eta checks never computes eta
-    assert dispatch(["verify", "--suite", "inequalities"]) == 0
-    assert calls == []
+    for suite in ("inequalities", "consistency"):  # suites without eta_value never scan
+        calls.clear()
+        dispatch(["verify", "--suite", suite])
+        assert calls == []
+    capsys.readouterr()
+
+
+def test_cli_never_imports_scipy_integrate():
+    # importing scipy.integrate costs about 0.2 s of every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = (
+        "import sys, io, contextlib\n"
+        "import lyapunov_lab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert lyapunov_lab.cli.dispatch(['eta']) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,9 @@ from scipy import integrate
 from scipy.special import exp1
 
 from lyapunov_lab.gaussian import (
+    E_LOG1P_G2,
+    ETA,
+    LAMBDA_V,
     contraction_f,
     couple,
     eta,
@@ -26,8 +29,23 @@ def _e_log1p_g2_quad() -> float:
         lambda x: math.log1p(x * x) * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
         -np.inf,
         np.inf,
+        epsabs=1e-14,
+        epsrel=1e-13,
     )
     return val
+
+
+def test_e_log1p_g2_closed_form_matches_adaptive_quadrature():
+    assert abs(E_LOG1P_G2 - _e_log1p_g2_quad()) < 1e-13
+
+
+def test_eta_closed_form():
+    # exp(1/2) E1(1/2) - 2 E log(1+g^2), 30 digits with mpmath
+    assert abs(ETA - (-0.1439957272045392)) < 1e-15
+
+
+def test_lambda_v_closed_form_matches_gauss_hermite():
+    assert abs(LAMBDA_V - gaussian_log_moments(80).e_log1p_g2 / 2.0) < 1e-8
 
 
 def test_f_vanishes_at_zero_noise():
@@ -116,7 +134,6 @@ def test_log_moments_against_closed_form_and_oracle():
     assert lm.e_log1p_g2_w2 == pytest.approx(E_LOG_CHI2_2, abs=1e-6)
     assert lm.e_log1p_g2 == pytest.approx(_e_log1p_g2_quad(), abs=1e-7)
     assert 0.0 < lm.e_log1p_g2 < lm.e_log1p_g2_w2
-    assert lm.lambda_v == 0.5 * lm.e_log1p_g2
 
 
 def test_log_moment_identity_with_expected_f():
@@ -194,9 +211,8 @@ def test_couple_near_boundary_start():
 
 
 def test_couple_drift_below_eta_plus_slack():
-    eta_hat = eta(80, 201).eta_hat
     tr = couple(5000, RngStream(10, 0), 0.0)
-    assert tr.mean_log_b <= eta_hat + 0.05
+    assert tr.mean_log_b <= ETA + 0.05
 
 
 def test_couple_log_a2_slope_negative_across_seeds():
