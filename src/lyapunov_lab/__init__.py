@@ -13,8 +13,6 @@ from .chain import (
     ChainRun,
     NormalizedState,
     WeightParameter,
-    apply_step,
-    initial_state,
     run_chain,
     weighted_norm,
 )
@@ -28,7 +26,7 @@ from .estimators import (
     pool_estimates,
 )
 from .gaussian import CouplingTrace, EtaResult, contraction_f, couple, eta, expected_f, gaussian_log_moments
-from .laws import BERNOULLI, GAUSSIAN, CoefficientLaw, LawKind, RngStream, law_from_name, law_moments, sample, sample_row
+from .laws import BERNOULLI, GAUSSIAN, CoefficientLaw, RngStream, law_from_name, sample_row
 from .recursion import ExactTrajectory, FloatTrajectory, run_exact, run_exact_float, run_fibonacci, run_vt
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "ChainRun",
     "NormalizedState",
     "WeightParameter",
-    "apply_step",
-    "initial_state",
     "run_chain",
     "weighted_norm",
     "GrowthEstimate",
@@ -63,11 +59,8 @@ __all__ = [
     "BERNOULLI",
     "GAUSSIAN",
     "CoefficientLaw",
-    "LawKind",
     "RngStream",
     "law_from_name",
-    "law_moments",
-    "sample",
     "sample_row",
     "ExactTrajectory",
     "FloatTrajectory",

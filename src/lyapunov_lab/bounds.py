@@ -98,21 +98,19 @@ def verify_alpha_mc(
     y: np.ndarray,
     samples: int,
     rng: RngStream,
-    alpha: float | None = None,
 ) -> McCheck:
     """Monte Carlo check of E[(1 + <eps, y>^2)^(-1/2)] <= alpha for unit y.
 
     Draws `samples` fresh coefficient rows; passes when the empirical mean
-    is below alpha + 3 standard errors. alpha defaults to the bound for the
-    law's own moments.
+    is below alpha + 3 standard errors, with alpha the bound for the law's
+    own moments.
     """
     y = np.asarray(y, dtype=float)
     if abs(float(np.linalg.norm(y)) - 1.0) > 1e-12:
         raise ValueError("y must be a unit vector to within 1e-12")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if alpha is None:
-        alpha = alpha_bound(law.sigma2, law.fourth_moment).alpha
+    alpha = alpha_bound(law.sigma2, law.fourth_moment).alpha
 
     k = y.size
     total = 0.0

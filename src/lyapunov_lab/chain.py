@@ -31,15 +31,13 @@ import numpy as np
 
 from .bounds import alpha_bound
 from .errors import TruncationBudgetError
-from .laws import CoefficientLaw, LawKind, RngStream, sample_row
+from .laws import GAUSSIAN, CoefficientLaw, RngStream, sample_row
 from .util import neumaier_add
 
 __all__ = [
     "NormalizedState",
     "WeightParameter",
     "ChainRun",
-    "initial_state",
-    "apply_step",
     "weighted_norm",
     "run_chain",
     "chain_engine",
@@ -57,8 +55,7 @@ class NormalizedState:
     """Unit-norm truncated state plus accumulated log norm.
 
     log_norm_comp is the compensation term of the Neumaier summation used
-    for log_norm; carry it along so chained single steps lose nothing
-    against a long in-place run.
+    for log_norm.
     """
 
     coords: np.ndarray
@@ -66,10 +63,6 @@ class NormalizedState:
     dropped_mass: float
     step: int
     log_norm_comp: float = 0.0
-
-    @property
-    def norm_error(self) -> float:
-        return abs(float(np.linalg.norm(self.coords)) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -92,14 +85,6 @@ class ChainRun:
     weighted_offsets: np.ndarray
     tail_means: np.ndarray
     final_state: NormalizedState
-    law: CoefficientLaw
-    c: float
-    trunc_tol: float
-
-
-def initial_state() -> NormalizedState:
-    """The delta state e0 = (1, 0, ...) every trajectory starts from."""
-    return NormalizedState(coords=np.array([1.0]), log_norm=0.0, dropped_mass=0.0, step=0)
 
 
 def _seq_sum(x: np.ndarray):
@@ -138,21 +123,14 @@ def _truncate(coords: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
 
 
 def _step(
-    coords: np.ndarray,
-    law: CoefficientLaw,
-    rng: Optional[RngStream],
-    step: int,
-    trunc_tol: float,
-    row_override: Optional[np.ndarray] = None,
+    coords: np.ndarray, law: CoefficientLaw, rng: RngStream, step: int, trunc_tol: float
 ) -> tuple[np.ndarray, float, float]:
-    """One chain step; returns (new coords, increment, dropped mass)."""
-    if row_override is not None:
-        row = np.asarray(row_override, dtype=float)
-        if row.size != coords.size:
-            raise ValueError(f"row override has {row.size} entries, state needs {coords.size}")
-    else:
-        rng.seek_row(step)
-        row = sample_row(law, rng, coords.size)
+    """One chain step on the coefficient row at rng row `step`.
+
+    Returns (new coords, increment, dropped mass).
+    """
+    rng.seek_row(step)
+    row = sample_row(law, rng, coords.size)
     g = float(_seq_sum(row * coords))
     inc = 0.5 * math.log1p(g * g)
     new = np.empty(coords.size + 1)
@@ -161,31 +139,6 @@ def _step(
     new /= math.sqrt(_seq_sum(new * new))
     new, dropped = _truncate(new, trunc_tol)
     return new, inc, dropped
-
-
-def apply_step(
-    state: NormalizedState,
-    law: CoefficientLaw,
-    rng: Optional[RngStream],
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    row_override: Optional[np.ndarray] = None,
-) -> tuple[NormalizedState, float]:
-    """Advance the state one step; returns (new state, log-norm increment).
-
-    The coefficient row is read at rng row `state.step`, so replaying any
-    step of a trajectory is a pure counter seek. row_override injects a
-    deterministic row for tests.
-    """
-    coords, inc, dropped = _step(state.coords, law, rng, state.step, trunc_tol, row_override)
-    log_norm, comp = neumaier_add(state.log_norm, state.log_norm_comp, inc)
-    new_state = NormalizedState(
-        coords=coords,
-        log_norm=log_norm,
-        dropped_mass=state.dropped_mass + dropped,
-        step=state.step + 1,
-        log_norm_comp=comp,
-    )
-    return new_state, inc
 
 
 def weighted_norm(state: NormalizedState, w: WeightParameter) -> float:
@@ -211,7 +164,8 @@ def _check_run(law: CoefficientLaw, n: int, w: WeightParameter, trunc_tol: float
             raise ValueError(
                 f"c={w.c} outside (0, {neg_log_alpha:.6f}), the valid range for these moments"
             )
-    return 100.0 * trunc_tol * n
+    # _truncate drops less than trunc_tol per step, so a run drops less than this
+    return trunc_tol * n
 
 
 def _check_budget(dropped: float, budget: float) -> None:
@@ -289,9 +243,6 @@ def _run_reference(
         weighted_offsets=np.array(offsets),
         tail_means=tail_acc / max(tail_count, 1),
         final_state=final,
-        law=law,
-        c=w.c,
-        trunc_tol=trunc_tol,
     )
 
 
@@ -406,7 +357,7 @@ def _run_compiled(
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
         weights = np.exp(w.c * np.arange(cap)) if w.c > 0.0 else None
         done = fn(
-            rng.seed, rng.stream_id, ndtri if law.kind is LawKind.STANDARD_GAUSSIAN else None,
+            rng.seed, rng.stream_id, ndtri if law is GAUSSIAN else None,
             n, trunc_tol, None if weights is None else weights.ctypes.data, stride,
             z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
             ist.ctypes.data, dst.ctypes.data,
@@ -428,7 +379,4 @@ def _run_compiled(
         weighted_offsets=np.array([math.log(x) for x in norms.tolist()]),
         tail_means=tail[:tail_len] / (n - n // 2),
         final_state=NormalizedState(z[front : front + k].copy(), log_norm, dropped, n, comp),
-        law=law,
-        c=w.c,
-        trunc_tol=trunc_tol,
     )

@@ -81,23 +81,32 @@ def _require_n(args) -> None:
         raise ValueError("--n is required (on the command line or in the config file)")
 
 
-# the law each recursion model draws from, and the error for any other; the chain takes either
-_MODEL_LAWS = {
-    "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only"),
-    "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian"),
-    "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli"),
+# the defaults of the flags that only some models read
+_MODEL_FLAGS = {"c": 0.0, "trunc_tol": chain.DEFAULT_TRUNC_TOL, "batch_length": None, "window_fraction": 0.5}
+
+# per model: the law it draws from (None: the one --law names), the error for any
+# other law, and the flags of _MODEL_FLAGS it reads
+_MODELS = {
+    "chain": (None, None, {"c", "trunc_tol", "batch_length"}),
+    "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only", {"window_fraction"}),
+    "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian", {"window_fraction"}),
+    "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli", {"window_fraction"}),
 }
 
 
-def _check_law(args) -> None:
-    law, message = _MODEL_LAWS.get(args.model, (args.law, None))
-    if args.law != law:
+def _check_model(args) -> None:
+    """Refuse a law the model does not draw from, and a flag it does not read set off its default."""
+    law, message, reads = _MODELS[args.model]
+    if law is not None and args.law != law:
         raise ValueError(message)
+    for name, default in _MODEL_FLAGS.items():
+        if name not in reads and getattr(args, name, default) != default:
+            raise ValueError(f"--model {args.model} does not read --{name.replace('_', '-')}")
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
     _require_n(args)
-    _check_law(args)
+    _check_model(args)
     law = law_from_name(args.law)
     rng = RngStream(args.seed, args.stream_id)
     if args.model == "exact":
@@ -168,7 +177,9 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
     _require_n(args)
-    _check_law(args)
+    _check_model(args)
+    if args.trajectories < 1:
+        raise ValueError(f"--trajectories must be >= 1, got {args.trajectories}")
     ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories))
     est = estimators.pool_estimates(ests)
     results = {
@@ -214,7 +225,10 @@ def _cmd_couple(args) -> tuple[dict, dict]:
 
 
 def _cmd_lo(args) -> tuple[dict, dict]:
-    coeffs = [int(tok) for tok in args.coeffs.split(",") if tok.strip()]
+    try:
+        coeffs = [int(tok) for tok in args.coeffs.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--coeffs must be comma-separated integers, got {args.coeffs!r}") from None
     res = bounds.lo_max_atom(coeffs)
     results = {
         "k": res.k,
@@ -305,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--stream-id", type=int, default=0)
-    p.add_argument("--c", type=_finite_float, default=0.0, help="weight exponent (chain model)")
-    p.add_argument("--trunc-tol", type=_finite_float, default=chain.DEFAULT_TRUNC_TOL)
+    p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"], help="weight exponent (chain model)")
+    p.add_argument("--trunc-tol", type=_finite_float, default=_MODEL_FLAGS["trunc_tol"])
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -315,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trajectories", type=int, default=1)
-    p.add_argument("--c", type=_finite_float, default=0.0)
-    p.add_argument("--batch-length", type=int, default=None)
-    p.add_argument("--window-fraction", type=_finite_float, default=0.5)
+    p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"])
+    p.add_argument("--batch-length", type=int, default=_MODEL_FLAGS["batch_length"])
+    p.add_argument("--window-fraction", type=_finite_float, default=_MODEL_FLAGS["window_fraction"])
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
 

@@ -52,7 +52,6 @@ class RateComparison:
 def gamma_from_increments(
     increments: np.ndarray,
     batch_length: int | None = None,
-    method: Method = Method.NORM_INCREMENTS,
 ) -> GrowthEstimate:
     """Mean of an increment series with a batch-means standard error.
 
@@ -75,7 +74,7 @@ def gamma_from_increments(
     nb = n // batch_length
     batch_means = x[: nb * batch_length].reshape(nb, batch_length).mean(axis=1)
     stderr = float(np.std(batch_means, ddof=1) / math.sqrt(nb))
-    return GrowthEstimate(gamma, stderr, n, 1, method)
+    return GrowthEstimate(gamma, stderr, n, 1, Method.NORM_INCREMENTS)
 
 
 def gamma_from_last_coordinate(

@@ -8,7 +8,6 @@ run on separate streams without any shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -16,14 +15,11 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 __all__ = [
-    "LawKind",
     "CoefficientLaw",
     "RngStream",
     "BERNOULLI",
     "GAUSSIAN",
     "law_from_name",
-    "law_moments",
-    "sample",
     "sample_row",
     "sample_rows",
     "draws",
@@ -32,51 +28,39 @@ __all__ = [
 ]
 
 
-class LawKind(Enum):
-    RADEMACHER_BERNOULLI = "bernoulli"
-    STANDARD_GAUSSIAN = "gaussian"
-
-
-@dataclass(frozen=True)
-class CoefficientLaw:
+class CoefficientLaw(Enum):
     """A zero-mean coefficient distribution with its exact moments.
 
     sigma2 is the variance, fourth_moment the fourth moment. Both laws
     shipped here are symmetric, so the mean is zero by construction.
     """
 
-    kind: LawKind
-    sigma2: float
-    fourth_moment: float
-
-    def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.fourth_moment < self.sigma2**2:
-            raise ValueError("fourth moment below sigma2^2 violates Jensen")
-        expected = {LawKind.RADEMACHER_BERNOULLI: (1.0, 1.0), LawKind.STANDARD_GAUSSIAN: (1.0, 3.0)}
-        if (self.sigma2, self.fourth_moment) != expected[self.kind]:
-            raise ValueError(f"moments {self.sigma2, self.fourth_moment} do not match {self.kind}")
+    BERNOULLI = "bernoulli"
+    GAUSSIAN = "gaussian"
 
     @property
     def name(self) -> str:
-        return self.kind.value
+        """The law's name as --law spells it, not the member's."""
+        return self.value
+
+    @property
+    def sigma2(self) -> float:
+        return 1.0
+
+    @property
+    def fourth_moment(self) -> float:
+        return 1.0 if self is BERNOULLI else 3.0
 
 
-BERNOULLI = CoefficientLaw(LawKind.RADEMACHER_BERNOULLI, 1.0, 1.0)
-GAUSSIAN = CoefficientLaw(LawKind.STANDARD_GAUSSIAN, 1.0, 3.0)
+BERNOULLI = CoefficientLaw.BERNOULLI
+GAUSSIAN = CoefficientLaw.GAUSSIAN
 
 
 def law_from_name(name: str) -> CoefficientLaw:
     try:
-        return {"bernoulli": BERNOULLI, "gaussian": GAUSSIAN}[name]
-    except KeyError:
+        return CoefficientLaw(name)
+    except ValueError:
         raise ValueError(f"unknown law {name!r}; expected 'bernoulli' or 'gaussian'") from None
-
-
-def law_moments(law: CoefficientLaw) -> tuple[float, float]:
-    """Exact (variance, fourth moment) pair of the law."""
-    return law.sigma2, law.fourth_moment
 
 
 _BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
@@ -174,10 +158,6 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Fresh stream with the same seed; advancing it never touches self."""
-        return RngStream(self.seed, stream_id)
-
     def seek(self, counter: int) -> None:
         """Position the stream so the next word read is at `counter`."""
         if counter < 0:
@@ -264,7 +244,7 @@ class RngStream:
 
 def sample_row(law: CoefficientLaw, rng: RngStream, k: int) -> np.ndarray:
     """Row of k i.i.d. draws from the law; consumes exactly k counter steps."""
-    if law.kind is LawKind.RADEMACHER_BERNOULLI:
+    if law is BERNOULLI:
         return rng.signs(k)
     return rng.normals(k)
 
@@ -284,11 +264,7 @@ def draws(law: CoefficientLaw, w: np.ndarray) -> np.ndarray:
     A sign is the word's top bit and a normal the inverse normal CDF of
     its top 53 bits, as in sample_row.
     """
-    if law.kind is LawKind.RADEMACHER_BERNOULLI:
+    if law is BERNOULLI:
         return _signs(w)
     return ndtri(_uniforms(w))
 
-
-def sample(law: CoefficientLaw, rng: RngStream) -> float:
-    """One draw from the law; consumes exactly one counter step."""
-    return float(sample_row(law, rng, 1)[0])

@@ -125,17 +125,15 @@ def run_exact(
     n: int,
     rng: RngStream,
     sign_override: SignOverride = None,
-    step_cap: int = EXACT_STEP_CAP,
 ) -> ExactTrajectory:
     """Exact big-integer run of the full-history recursion, n steps.
 
-    Memory and time are O(n^2) bits, so n is capped (default 4096); raise
-    the cap explicitly if you accept the cost.
+    Memory and time are O(n^2) bits, so n is capped at EXACT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > step_cap:
-        raise MemoryBudgetError(f"n={n} exceeds exact-arithmetic cap {step_cap}")
+    if n > EXACT_STEP_CAP:
+        raise MemoryBudgetError(f"n={n} exceeds exact-arithmetic cap {EXACT_STEP_CAP}")
     src = _SignSource(BERNOULLI, rng, sign_override)
     values = [1]
     for k in range(n):
@@ -173,19 +171,17 @@ def run_exact_float(
     return FloatTrajectory(log_scale=log_scale, scaled_values=vals, n=n)
 
 
-def run_vt(n: int, rng: RngStream, renorm_log2: int = 64) -> np.ndarray:
+def run_vt(n: int, rng: RngStream) -> np.ndarray:
     """Gaussian division recursion; returns log sum of squares at k = 0..n.
 
     Entry k is log(t[0]^2 + ... + t[k]^2). The state is renormalized
-    whenever the newest |t| leaves [2^-renorm_log2, 2^renorm_log2];
-    renorm_log2 exists so tests can vary the cadence. Time is O(n^2), so
-    n is capped at VT_STEP_CAP.
+    whenever the largest |t| since the last renormalization exceeds 2^64.
+    Time is O(n^2), so n is capped at VT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > VT_STEP_CAP:
         raise MemoryBudgetError(f"n={n} exceeds the O(n^2) division-recursion cap {VT_STEP_CAP}")
-    hi = 2.0**renorm_log2
     t = np.empty(n + 1)
     t[0] = 1.0
     log_scale = 0.0
@@ -208,7 +204,7 @@ def run_vt(n: int, rng: RngStream, renorm_log2: int = 64) -> np.ndarray:
         aval = abs(val)
         if aval > cur_max:
             cur_max = aval
-        if cur_max > hi:
+        if cur_max > _RENORM_HI:
             # the max only grows between renormalizations, so dividing by it
             # puts the state max at exactly 1
             t[: k + 1] /= cur_max

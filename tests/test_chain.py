@@ -12,8 +12,6 @@ from lyapunov_lab.chain import (
     MAX_TRUNC_TOL,
     NormalizedState,
     WeightParameter,
-    apply_step,
-    initial_state,
     run_chain,
     weighted_norm,
 )
@@ -22,23 +20,31 @@ from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
 from lyapunov_lab.recursion import run_exact
 
 
+E0 = np.array([1.0])  # the delta state every trajectory starts from
+
+
+def _fixed_row(monkeypatch, row):
+    """Make every chain step draw `row`, cut to the state's size."""
+    monkeypatch.setattr(chain, "sample_row", lambda law, rng, k: np.asarray(row[:k], dtype=float))
+
+
 def test_first_step_from_delta_state():
-    state, inc = apply_step(initial_state(), BERNOULLI, RngStream(5, 0))
+    coords, inc, dropped = chain._step(E0, BERNOULLI, RngStream(5, 0), 0, DEFAULT_TRUNC_TOL)
     assert inc == pytest.approx(0.5 * math.log(2.0), abs=1e-15)
-    g = state.coords[0]
-    assert abs(g) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert state.coords[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert state.step == 1
+    assert abs(coords[0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert coords[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert dropped == 0.0
 
 
-def test_zero_row_override_is_identity_case():
-    state, inc = apply_step(initial_state(), GAUSSIAN, None, row_override=np.array([0.0]))
+def test_zero_row_is_identity_case(monkeypatch):
+    _fixed_row(monkeypatch, [0.0])
+    coords, inc, _ = chain._step(E0, GAUSSIAN, RngStream(0, 0), 0, DEFAULT_TRUNC_TOL)
     assert inc == 0.0
-    assert state.coords.tolist() == [0.0, 1.0]
+    assert coords.tolist() == [0.0, 1.0]
 
 
 def test_weighted_norm_trivia():
-    e0 = initial_state()
+    e0 = NormalizedState(E0, 0.0, 0.0, 0)
     for c in (0.0, 0.3, 2.0):
         assert weighted_norm(e0, WeightParameter(c)) == pytest.approx(1.0, abs=1e-15)
     e1 = NormalizedState(np.array([0.0, 1.0]), 0.0, 0.0, 1)
@@ -57,36 +63,21 @@ def test_log_norm_matches_exact_l2_oracle(n):
     assert abs(run.final_state.log_norm - exact.l2_log_norm()) < 1e-8
 
 
-def test_apply_step_composition_equals_run_chain():
-    n, seed = 150, 33
-    run = run_chain(BERNOULLI, n, RngStream(seed, 4))
-    state = initial_state()
-    rng = RngStream(seed, 4)
-    incs = []
-    for _ in range(n):
-        state, inc = apply_step(state, BERNOULLI, rng)
-        incs.append(inc)
-    assert np.array_equal(np.array(incs), run.increments)
-    assert np.array_equal(state.coords, run.final_state.coords)
-    assert state.log_norm == run.final_state.log_norm
-    assert state.dropped_mass == run.final_state.dropped_mass
-
-
 def test_unit_norm_invariant_along_run():
-    state = initial_state()
+    coords = E0
     rng = RngStream(17, 2)
-    for _ in range(500):
-        state, _ = apply_step(state, BERNOULLI, rng)
-        assert state.norm_error <= 1e-12
+    for t in range(500):
+        coords, _, _ = chain._step(coords, BERNOULLI, rng, t, DEFAULT_TRUNC_TOL)
+        assert abs(float(np.linalg.norm(coords)) - 1.0) <= 1e-12
 
 
 def test_support_grows_without_truncation():
-    state = initial_state()
+    coords = E0
     rng = RngStream(3, 0)
-    for _ in range(50):
-        state, _ = apply_step(state, GAUSSIAN, rng, trunc_tol=0.0)
-    assert state.coords.size == 51
-    assert state.dropped_mass == 0.0
+    for t in range(50):
+        coords, _, dropped = chain._step(coords, GAUSSIAN, rng, t, 0.0)
+        assert dropped == 0.0
+    assert coords.size == 51
 
 
 @given(
@@ -100,11 +91,10 @@ def test_increment_invariant_under_global_sign_flip(coords, row):
     if nrm < 1e-3:
         return
     v = v / nrm
-    r = np.asarray(row[: v.size])
-    base = NormalizedState(v, 0.0, 0.0, 0)
-    flipped = NormalizedState(-v, 0.0, 0.0, 0)
-    _, inc_a = apply_step(base, BERNOULLI, None, row_override=r)
-    _, inc_b = apply_step(flipped, BERNOULLI, None, row_override=r)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        _fixed_row(mp, row)
+        _, inc_a, _ = chain._step(v, BERNOULLI, RngStream(0, 0), 0, DEFAULT_TRUNC_TOL)
+        _, inc_b, _ = chain._step(-v, BERNOULLI, RngStream(0, 0), 0, DEFAULT_TRUNC_TOL)
     assert inc_a == inc_b
 
 
@@ -150,11 +140,6 @@ def test_run_chain_accepts_largest_trunc_tol():
     assert run_chain(BERNOULLI, 100, RngStream(0, 0), trunc_tol=MAX_TRUNC_TOL).increments.size == 100
 
 
-def test_row_override_size_mismatch():
-    with pytest.raises(ValueError):
-        apply_step(initial_state(), BERNOULLI, None, row_override=np.array([1.0, -1.0]))
-
-
 def _assert_same_run(a, b):
     assert np.array_equal(a.increments, b.increments)
     assert np.array_equal(a.checkpoint_steps, b.checkpoint_steps)
@@ -167,7 +152,6 @@ def _assert_same_run(a, b):
     assert fa.log_norm_comp == fb.log_norm_comp
     assert fa.dropped_mass == fb.dropped_mass
     assert fa.step == fb.step
-    assert (a.law, a.c, a.trunc_tol) == (b.law, b.c, b.trunc_tol)
 
 
 def _reference(law, n, rng, w=WeightParameter(0.0), trunc_tol=DEFAULT_TRUNC_TOL):
@@ -232,6 +216,16 @@ def test_run_chain_checks_the_truncation_budget(monkeypatch):
     monkeypatch.setattr(chain, "_check_run", lambda *args: real(*args) * 1e-300)
     with pytest.raises(TruncationBudgetError):
         run_chain(BERNOULLI, 300, RngStream(0, 40))
+
+
+def test_truncation_budget_catches_a_loosened_truncation(monkeypatch):
+    # the budget is trunc_tol per step, which _truncate keeps to by construction;
+    # a truncation that drops up to 10 trunc_tol per step must overrun it
+    real = chain._truncate
+    monkeypatch.setattr(chain, "_kernel", lambda: None)
+    monkeypatch.setattr(chain, "_truncate", lambda coords, tol: real(coords, 10.0 * tol))
+    with pytest.raises(TruncationBudgetError):
+        run_chain(BERNOULLI, 2000, RngStream(1, 0), trunc_tol=MAX_TRUNC_TOL)
 
 
 def test_run_chain_rejects_rows_past_the_counter_limb():

@@ -225,6 +225,14 @@ def test_module_entry_points():
         (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "inf"], "--zeta-sq-factor: 'inf'"),
         (["alpha", "--sigma2", "one", "--fourth-moment", "1"], "argument --sigma2: 'one' is not a number"),
         (["couple", "--n", "10", "--rho0", "inf"], "argument --rho0: 'inf' is not a finite"),
+        # a flag its model never reads, set off its default
+        (["gamma", "--model", "fib", "--n", "2000", "--batch-length", "7"], "does not read --batch-length"),
+        (["gamma", "--model", "chain", "--n", "1000", "--window-fraction", "0.3"], "does not read --window-fraction"),
+        (["gamma", "--model", "vt", "--law", "gaussian", "--n", "200", "--c", "0.01"], "does not read --c"),
+        (["simulate", "--model", "fib", "--n", "200", "--c", "0.01"], "does not read --c"),
+        (["simulate", "--model", "exact", "--n", "20", "--trunc-tol", "1e-9"], "does not read --trunc-tol"),
+        (["gamma", "--model", "chain", "--n", "1000", "--trajectories", "0"], "--trajectories must be >= 1"),
+        (["lo", "--coeffs", "1,x"], "--coeffs must be comma-separated integers"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, message):

@@ -10,39 +10,30 @@ from lyapunov_lab.laws import (
     GAUSSIAN,
     ROW_STRIDE,
     CoefficientLaw,
-    LawKind,
     RngStream,
     draws,
     law_from_name,
-    law_moments,
-    sample,
     sample_row,
     sample_rows,
 )
 
 
 def test_law_moments_exact():
-    assert law_moments(BERNOULLI) == (1.0, 1.0)
-    assert law_moments(GAUSSIAN) == (1.0, 3.0)
+    assert (BERNOULLI.sigma2, BERNOULLI.fourth_moment) == (1.0, 1.0)
+    assert (GAUSSIAN.sigma2, GAUSSIAN.fourth_moment) == (1.0, 3.0)
 
 
 def test_jensen_holds_for_both_laws():
-    for law in (BERNOULLI, GAUSSIAN):
-        s2, d4 = law_moments(law)
-        assert d4 >= s2**2
-
-
-def test_invalid_moments_rejected():
-    with pytest.raises(ValueError):
-        CoefficientLaw(LawKind.RADEMACHER_BERNOULLI, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        CoefficientLaw(LawKind.STANDARD_GAUSSIAN, 2.0, 3.0)
+    for law in CoefficientLaw:
+        assert law.fourth_moment >= law.sigma2**2
 
 
 def test_law_from_name():
-    assert law_from_name("bernoulli") is BERNOULLI
-    assert law_from_name("gaussian") is GAUSSIAN
-    with pytest.raises(ValueError):
+    assert list(CoefficientLaw) == [BERNOULLI, GAUSSIAN]
+    for law in CoefficientLaw:
+        assert law_from_name(law.name) is law
+    assert (BERNOULLI.name, GAUSSIAN.name) == ("bernoulli", "gaussian")
+    with pytest.raises(ValueError, match="unknown law 'cauchy'"):
         law_from_name("cauchy")
 
 
@@ -72,17 +63,18 @@ def test_gaussian_second_moment_within_band():
     assert abs(float(np.mean(draws * draws)) - 1.0) < 3.0 * math.sqrt(2.0) / 1e3
 
 
-def test_sample_advances_counter_by_one():
+def test_sample_row_advances_counter_by_its_length():
     rng = RngStream(7, 0)
     for law in (BERNOULLI, GAUSSIAN):
-        before = rng.counter
-        sample(law, rng)
-        assert rng.counter == before + 1
+        for k in (1, 5):
+            before = rng.counter
+            sample_row(law, rng, k)
+            assert rng.counter == before + k
 
 
 def test_identical_coordinates_identical_draw():
-    a = sample(GAUSSIAN, RngStream(99, 5, counter=1234))
-    b = sample(GAUSSIAN, RngStream(99, 5, counter=1234))
+    a = sample_row(GAUSSIAN, RngStream(99, 5, counter=1234), 1)
+    b = sample_row(GAUSSIAN, RngStream(99, 5, counter=1234), 1)
     assert a == b
 
 
@@ -112,7 +104,7 @@ def test_backward_seek():
 def test_streams_do_not_interfere():
     a = RngStream(42, 0)
     ref = RngStream(42, 0).words(16)
-    b = a.spawn(1)
+    b = RngStream(42, 1)
     b.words(1000)  # advancing b must not move a
     assert np.array_equal(a.words(16), ref)
 

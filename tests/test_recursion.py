@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from lyapunov_lab.errors import MemoryBudgetError
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
-from lyapunov_lab.recursion import VT_STEP_CAP, run_exact, run_exact_float, run_fibonacci, run_vt
+from lyapunov_lab.recursion import EXACT_STEP_CAP, VT_STEP_CAP, run_exact, run_exact_float, run_fibonacci, run_vt
 from lyapunov_lab.util import log_abs_bigint
 from lyapunov_lab.verification import GAMMA_FIB_ORACLE
 
@@ -72,8 +72,8 @@ def test_vt_step_cap():
 
 def test_exact_step_cap():
     with pytest.raises(MemoryBudgetError):
-        run_exact(5000, RngStream(0))
-    run_exact(5, RngStream(0), step_cap=5)  # explicit cap override works
+        run_exact(EXACT_STEP_CAP + 1, RngStream(0))
+    assert len(run_exact(5, RngStream(0)).values) == 6
 
 
 def test_float_path_matches_exact():
@@ -102,11 +102,22 @@ def test_vt_replay_bit_identical():
     assert np.array_equal(a, b)
 
 
-def test_vt_renormalization_cadence_invariance():
-    n = 2000
-    a = run_vt(n, RngStream(8, 0), renorm_log2=64)
-    b = run_vt(n, RngStream(8, 0), renorm_log2=16)
-    assert np.max(np.abs(a - b)) < 1e-9 * n
+def test_vt_renormalization_matches_a_loop_that_never_renormalizes():
+    # at n = 300 the sum of squares stays far below the float overflow at
+    # e^709.8, while max |t| passes 2^192, so run_vt renormalizes three times or more
+    n = 300
+    rng = RngStream(8, 0)
+    t = np.empty(n + 1)
+    t[0] = 1.0
+    plain = np.empty(n + 1)
+    plain[0] = 0.0
+    for k in range(1, n + 1):
+        rng.seek_row(k)
+        row = rng.normals(k)
+        t[k] = (row @ t[k - 1 :: -1]) / row[k - 1]
+        plain[k] = math.log(float(t[: k + 1] @ t[: k + 1]))
+    assert math.log(float(np.max(np.abs(t)))) > 3 * 64 * math.log(2.0)
+    assert np.max(np.abs(run_vt(n, RngStream(8, 0)) - plain)) < 1e-9 * n
 
 
 def test_vt_single_run_rate_band():
