@@ -8,14 +8,8 @@ these recursions.
 
 __version__ = "0.1.0"
 
-from .bounds import AlphaResult, LoResult, alpha_bound, lo_max_atom, moment_tail_bound, verify_alpha_mc
-from .chain import (
-    ChainRun,
-    NormalizedState,
-    WeightParameter,
-    run_chain,
-    weighted_norm,
-)
+from .bounds import AlphaResult, LoResult, alpha_bound, lo_max_atom, verify_alpha_mc
+from .chain import ChainRun, run_chain, weighted_norm
 from .estimators import (
     GrowthEstimate,
     Method,
@@ -27,7 +21,7 @@ from .estimators import (
 )
 from .gaussian import CouplingTrace, EtaResult, contraction_f, couple, eta, expected_f, gaussian_log_moments
 from .laws import BERNOULLI, GAUSSIAN, CoefficientLaw, RngStream, law_from_name, sample_row
-from .recursion import ExactTrajectory, FloatTrajectory, run_exact, run_exact_float, run_fibonacci, run_vt
+from .recursion import ExactTrajectory, run_exact, run_exact_float, run_fibonacci, run_vt
 
 __all__ = [
     "__version__",
@@ -35,11 +29,8 @@ __all__ = [
     "LoResult",
     "alpha_bound",
     "lo_max_atom",
-    "moment_tail_bound",
     "verify_alpha_mc",
     "ChainRun",
-    "NormalizedState",
-    "WeightParameter",
     "run_chain",
     "weighted_norm",
     "GrowthEstimate",
@@ -63,7 +54,6 @@ __all__ = [
     "law_from_name",
     "sample_row",
     "ExactTrajectory",
-    "FloatTrajectory",
     "run_exact",
     "run_exact_float",
     "run_fibonacci",

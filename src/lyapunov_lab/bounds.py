@@ -6,8 +6,6 @@
   matches the conservative fourth-moment bound used to derive the
   constant; a sharper factor can be passed explicitly (f = 3 is valid for
   unit-variance signs).
-* moment_tail_bound: the Paley-Zygmund-style lower bound for P(zeta >= a)
-  from the mean and a higher moment of a nonnegative variable.
 * verify_alpha_mc: Monte Carlo check that E(1/||AY||) <= alpha for a given
   unit vector, where ||AY|| = sqrt(1 + (<eps, Y>)^2).
 * lo_max_atom: exact largest atom of a signed sum of nonzero integer
@@ -23,8 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-
-from .errors import TableBudgetError
 from .laws import CoefficientLaw, RngStream, sample_row
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "McCheck",
     "LoResult",
     "alpha_bound",
-    "moment_tail_bound",
     "verify_alpha_mc",
     "lo_max_atom",
 ]
@@ -71,17 +66,6 @@ def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0
         fourth_moment=fourth_moment,
         zeta_sq_factor=zeta_sq_factor,
     )
-
-
-def moment_tail_bound(mean_zeta: float, moment_zeta_1h: float, h: float, a: float) -> float:
-    """Lower bound for P(zeta >= a): (E zeta - a)^((1+h)/h) / (E zeta^(1+h))^(1/h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if not 0 < a < mean_zeta:
-        raise ValueError("need 0 < a < mean")
-    if moment_zeta_1h < mean_zeta ** (1.0 + h):
-        raise ValueError("moment below mean^(1+h) violates Jensen")
-    return (mean_zeta - a) ** ((1.0 + h) / h) / moment_zeta_1h ** (1.0 / h)
 
 
 @dataclass(frozen=True)
@@ -168,11 +152,11 @@ def lo_max_atom(coefficients: Sequence[int]) -> LoResult:
     if any(b == 0 for b in coeffs):
         raise ValueError("all coefficients must be nonzero")
     if k > 40:
-        raise TableBudgetError(f"k={k} exceeds the exact-count limit of 40")
+        raise ValueError(f"k={k} exceeds the exact-count limit of 40")
     span = sum(abs(b) for b in coeffs)
     size = 2 * span + 1
     if size > _LO_TABLE_BUDGET:
-        raise TableBudgetError(f"sum of |coefficients| {span} exceeds the table budget")
+        raise ValueError(f"sum of |coefficients| {span} exceeds the table budget")
 
     counts = np.zeros(size, dtype=np.int64)
     counts[span] = 1  # offset representation: sum s lives at index s + span

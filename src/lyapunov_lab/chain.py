@@ -35,8 +35,6 @@ from .laws import GAUSSIAN, CoefficientLaw, RngStream, sample_row
 from .util import neumaier_add
 
 __all__ = [
-    "NormalizedState",
-    "WeightParameter",
     "ChainRun",
     "weighted_norm",
     "run_chain",
@@ -51,40 +49,21 @@ MAX_STEPS = 1 << 34  # rows at and past 2^34 leave the low 64-bit limb of the Ph
 
 
 @dataclass
-class NormalizedState:
-    """Unit-norm truncated state plus accumulated log norm.
-
-    log_norm_comp is the compensation term of the Neumaier summation used
-    for log_norm.
-    """
-
-    coords: np.ndarray
-    log_norm: float
-    dropped_mass: float
-    step: int
-    log_norm_comp: float = 0.0
-
-
-@dataclass(frozen=True)
-class WeightParameter:
-    """Exponent c >= 0 of the exponentially weighted sequence norm."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.c < math.inf:
-            raise ValueError(f"weight exponent c must be finite and >= 0, got {self.c}")
-
-
-@dataclass
 class ChainRun:
-    """Everything a chain run produces for the estimators and tail checks."""
+    """Everything a chain run produces for the estimators and tail checks.
+
+    coords is the final unit state, newest first; log_norm_comp is the
+    compensation term of the Neumaier summation of log_norm.
+    """
 
     increments: np.ndarray
     checkpoint_steps: np.ndarray
     weighted_offsets: np.ndarray
     tail_means: np.ndarray
-    final_state: NormalizedState
+    coords: np.ndarray
+    log_norm: float
+    log_norm_comp: float
+    dropped_mass: float
 
 
 def _seq_sum(x: np.ndarray):
@@ -141,28 +120,29 @@ def _step(
     return new, inc, dropped
 
 
-def weighted_norm(state: NormalizedState, w: WeightParameter) -> float:
-    """Exponentially weighted norm sqrt(sum_i e^(c i) z_i^2) of the state."""
-    z = state.coords
-    if w.c == 0.0:
+def weighted_norm(z: np.ndarray, c: float) -> float:
+    """Exponentially weighted norm sqrt(sum_i e^(c i) z_i^2) of the coordinates z."""
+    if c == 0.0:
         return math.sqrt(_seq_sum(z * z))
-    return math.sqrt(_seq_sum(np.exp(w.c * np.arange(z.size)) * (z * z)))
+    return math.sqrt(_seq_sum(np.exp(c * np.arange(z.size)) * (z * z)))
 
 
-def _check_run(law: CoefficientLaw, n: int, w: WeightParameter, trunc_tol: float) -> float:
+def _check_run(law: CoefficientLaw, n: int, c: float, trunc_tol: float) -> float:
     """Validate a run's parameters; returns its dropped-mass budget."""
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"weight exponent c must be finite and >= 0, got {c}")
     if n < 100:
         raise ValueError("n must be >= 100")
     if n >= MAX_STEPS:
         raise ValueError(f"n must be below 2^34, got {n}")
     if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
         raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
-    if w.c > 0.0:
+    if c > 0.0:
         sigma2, d4 = law.sigma2, law.fourth_moment
         neg_log_alpha = -math.log(alpha_bound(sigma2, d4).alpha)
-        if w.c >= neg_log_alpha:
+        if c >= neg_log_alpha:
             raise ValueError(
-                f"c={w.c} outside (0, {neg_log_alpha:.6f}), the valid range for these moments"
+                f"c={c} outside (0, {neg_log_alpha:.6f}), the valid range for these moments"
             )
     # _truncate drops less than trunc_tol per step, so a run drops less than this
     return trunc_tol * n
@@ -177,7 +157,7 @@ def run_chain(
     law: CoefficientLaw,
     n: int,
     rng: RngStream,
-    w: WeightParameter = WeightParameter(0.0),
+    c: float = 0.0,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
 ) -> ChainRun:
     """Run n chain steps from e0, collecting estimator and tail statistics.
@@ -193,19 +173,17 @@ def run_chain(
     the same numbers bit for bit. The rows are read by counter, and where
     rng is left afterwards depends on the engine.
     """
-    budget = _check_run(law, n, w, trunc_tol)
+    budget = _check_run(law, n, c, trunc_tol)
     kernel = _kernel()
     if kernel is None:
-        run = _run_reference(law, n, rng, w, trunc_tol)
+        run = _run_reference(law, n, rng, c, trunc_tol)
     else:
-        run = _run_compiled(kernel, law, n, rng, w, trunc_tol)
-    _check_budget(run.final_state.dropped_mass, budget)
+        run = _run_compiled(kernel, law, n, rng, c, trunc_tol)
+    _check_budget(run.dropped_mass, budget)
     return run
 
 
-def _run_reference(
-    law: CoefficientLaw, n: int, rng: RngStream, w: WeightParameter, trunc_tol: float
-) -> ChainRun:
+def _run_reference(law: CoefficientLaw, n: int, rng: RngStream, c: float, trunc_tol: float) -> ChainRun:
     """run_chain in Python, one _step after another; the compiled kernel must match it bit for bit."""
     coords = np.array([1.0])
     log_norm = 0.0
@@ -227,22 +205,23 @@ def _run_reference(
         increments[t] = inc
         step = t + 1
         if step % stride == 0:
-            state_view = NormalizedState(coords, log_norm, dropped_total, step, comp)
             ckpt_steps.append(step)
-            offsets.append(math.log(weighted_norm(state_view, w)))
+            offsets.append(math.log(weighted_norm(coords, c)))
         if step > half:
             if coords.size > tail_acc.size:
                 tail_acc = np.concatenate([tail_acc, np.zeros(coords.size - tail_acc.size)])
             tail_acc[: coords.size] += np.abs(coords)
             tail_count += 1
 
-    final = NormalizedState(coords, log_norm, dropped_total, n, comp)
     return ChainRun(
         increments=increments,
         checkpoint_steps=np.array(ckpt_steps, dtype=np.int64),
         weighted_offsets=np.array(offsets),
         tail_means=tail_acc / max(tail_count, 1),
-        final_state=final,
+        coords=coords,
+        log_norm=log_norm,
+        log_norm_comp=comp,
+        dropped_mass=dropped_total,
     )
 
 
@@ -339,7 +318,7 @@ def _run_compiled(
     law: CoefficientLaw,
     n: int,
     rng: RngStream,
-    w: WeightParameter,
+    c: float,
     trunc_tol: float,
 ) -> ChainRun:
     """run_chain through the kernel; the buffer doubles whenever the live support fills half of it."""
@@ -355,7 +334,7 @@ def _run_compiled(
     dst = np.zeros(3)  # log norm, its compensation, dropped mass
     while True:
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
-        weights = np.exp(w.c * np.arange(cap)) if w.c > 0.0 else None
+        weights = np.exp(c * np.arange(cap)) if c > 0.0 else None
         done = fn(
             rng.seed, rng.stream_id, ndtri if law is GAUSSIAN else None,
             n, trunc_tol, None if weights is None else weights.ctypes.data, stride,
@@ -378,5 +357,8 @@ def _run_compiled(
         # math.log, as the reference takes it: np.log may round differently
         weighted_offsets=np.array([math.log(x) for x in norms.tolist()]),
         tail_means=tail[:tail_len] / (n - n // 2),
-        final_state=NormalizedState(z[front : front + k].copy(), log_norm, dropped, n, comp),
+        coords=z[front : front + k].copy(),
+        log_norm=log_norm,
+        log_norm_comp=comp,
+        dropped_mass=dropped,
     )

@@ -21,16 +21,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, bounds, chain, estimators, gaussian, recursion, verification
-from .errors import (
-    DegenerateDivisorError,
-    MemoryBudgetError,
-    TruncationBudgetError,
-)
+from .errors import DegenerateDivisorError, TruncationBudgetError
 from .laws import RngStream, law_from_name
 from .util import ordered_map
 
@@ -123,15 +119,15 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         results = {"model": "fib", "n": args.n, "rate": float(out[-1]) / args.n}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
     else:
-        run = chain.run_chain(law, args.n, rng, w=chain.WeightParameter(args.c), trunc_tol=args.trunc_tol)
+        run = chain.run_chain(law, args.n, rng, c=args.c, trunc_tol=args.trunc_tol)
         results = {
             "model": "chain",
             "n": args.n,
             "law": args.law,
             "c": args.c,
-            "log_norm": run.final_state.log_norm,
-            "support": int(run.final_state.coords.size),
-            "dropped_mass": run.final_state.dropped_mass,
+            "log_norm": run.log_norm,
+            "support": int(run.coords.size),
+            "dropped_mass": run.dropped_mass,
             "chain_engine": chain.chain_engine(),
         }
         files = {
@@ -145,22 +141,15 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     return results, files
 
 
-def _chain_estimate(args, run: chain.ChainRun) -> estimators.GrowthEstimate:
-    est = estimators.gamma_from_increments(run.increments, args.batch_length)
-    if args.c > 0.0:
-        offset = float(run.weighted_offsets[-1]) / args.n
-        est = estimators.GrowthEstimate(
-            est.gamma_hat + offset, est.stderr, est.n_steps, 1, estimators.Method.WEIGHTED_NORM
-        )
-    return est
-
-
 def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
     """The estimate of one trajectory, drawn from stream `stream` of args.seed."""
     rng = RngStream(args.seed, stream)
     if args.model == "chain":
-        run = chain.run_chain(law_from_name(args.law), args.n, rng, chain.WeightParameter(args.c))
-        return _chain_estimate(args, run)
+        run = chain.run_chain(law_from_name(args.law), args.n, rng, c=args.c)
+        est = estimators.gamma_from_increments(run.increments, args.batch_length)
+        if args.c > 0.0:
+            return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]))
+        return est
     if args.model == "exact":
         traj = recursion.run_exact(args.n, rng)
         return estimators.gamma_from_last_coordinate(traj.log_abs_series(), args.window_fraction)
@@ -180,6 +169,10 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
     _check_model(args)
     if args.trajectories < 1:
         raise ValueError(f"--trajectories must be >= 1, got {args.trajectories}")
+    if args.n < 100:
+        raise ValueError(f"--n must be >= 100 for gamma, got {args.n}")
+    if args.batch_length is not None and 10 * args.batch_length > args.n:
+        raise ValueError(f"--batch-length {args.batch_length} needs --n >= {10 * args.batch_length}, got --n {args.n}")
     ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories))
     est = estimators.pool_estimates(ests)
     results = {
@@ -229,6 +222,8 @@ def _cmd_lo(args) -> tuple[dict, dict]:
         coeffs = [int(tok) for tok in args.coeffs.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--coeffs must be comma-separated integers, got {args.coeffs!r}") from None
+    if not coeffs:
+        raise ValueError(f"--coeffs must name at least one integer, got {args.coeffs!r}")
     res = bounds.lo_max_atom(coeffs)
     results = {
         "k": res.k,
@@ -300,8 +295,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_in(low: int, high: float, span: str) -> Callable[[str], int]:
+    """argparse type of an integer flag in [low, high); a value outside is a usage error naming `span`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+_uint64 = _int_in(0, 1 << 64, "in [0, 2^64)")  # --seed and --stream-id
+
+
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
-    p.add_argument("--seed", type=int, default=seed_default, help="64-bit unsigned seed")
+    p.add_argument("--seed", type=_uint64, default=seed_default, help="64-bit unsigned seed")
     p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")
     p.add_argument("--config", type=str, default=None, help="JSON file of parameter defaults; flags win")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")
@@ -318,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["exact", "vt", "fib", "chain"], required=True)
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--stream-id", type=int, default=0)
+    p.add_argument("--stream-id", type=_uint64, default=0)
     p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"], help="weight exponent (chain model)")
     p.add_argument("--trunc-tol", type=_finite_float, default=_MODEL_FLAGS["trunc_tol"])
     _add_common(p)
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"])
-    p.add_argument("--batch-length", type=int, default=_MODEL_FLAGS["batch_length"])
+    p.add_argument("--batch-length", type=_int_in(1, math.inf, ">= 1"), default=_MODEL_FLAGS["batch_length"])
     p.add_argument("--window-fraction", type=_finite_float, default=_MODEL_FLAGS["window_fraction"])
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couple", help="two-chain coupling trace")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--rho0", type=_finite_float, default=0.0)
-    p.add_argument("--stream-id", type=int, default=0)
+    p.add_argument("--stream-id", type=_uint64, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_couple)
 
@@ -434,7 +447,7 @@ def dispatch(argv: Sequence[str]) -> int:
         results, files = args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error it has printed
         return int(exc.code or 0)
-    except (ValueError, MemoryBudgetError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateDivisorError, TruncationBudgetError) as exc:

@@ -1,8 +1,4 @@
-"""Exception types raised by the simulation and estimation routines."""
-
-
-class MemoryBudgetError(RuntimeError):
-    """A quadratic-cost simulation (exact integers, division recursion) asked to run past its step cap."""
+"""Exception types of aborted runs (CLI exit 1); invalid parameters raise ValueError (exit 2)."""
 
 
 class DegenerateDivisorError(RuntimeError):
@@ -14,15 +10,3 @@ class DegenerateDivisorError(RuntimeError):
 
 class TruncationBudgetError(RuntimeError):
     """Cumulative tail mass dropped by truncation exceeded its budget."""
-
-
-class SeriesTooShortError(ValueError):
-    """Increment series too short for the requested batch layout."""
-
-
-class DegenerateWindowError(ValueError):
-    """Regression window contains too few usable points."""
-
-
-class TableBudgetError(ValueError):
-    """Dynamic-programming table would exceed the configured size budget."""

@@ -9,14 +9,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateWindowError, SeriesTooShortError
-
 __all__ = [
     "Method",
     "GrowthEstimate",
     "RateComparison",
     "gamma_from_increments",
     "gamma_from_last_coordinate",
+    "gamma_from_weighted_norm",
     "compare_rates",
     "pool_estimates",
 ]
@@ -43,8 +42,6 @@ class GrowthEstimate:
 
 @dataclass(frozen=True)
 class RateComparison:
-    a: GrowthEstimate
-    b: GrowthEstimate
     z_score: float
     verdict: bool
 
@@ -57,8 +54,9 @@ def gamma_from_increments(
 
     The point estimate is exactly the arithmetic mean of the whole series;
     only the standard error depends on the batch length (default
-    ceil(sqrt(n))), which groups dependent increments into approximately
-    independent batch averages.
+    ceil(sqrt(n)), at most n // 10), which groups dependent increments into
+    approximately independent batch averages. The series needs at least
+    ten batches.
     """
     x = np.asarray(increments, dtype=float)
     n = x.size
@@ -66,10 +64,11 @@ def gamma_from_increments(
         batch_length = math.isqrt(n)
         if batch_length * batch_length < n:
             batch_length += 1
+        batch_length = max(1, min(batch_length, n // 10))
     if batch_length < 1:
         raise ValueError("batch_length must be >= 1")
     if n < 10 * batch_length:
-        raise SeriesTooShortError(f"series of length {n} needs >= {10 * batch_length} entries")
+        raise ValueError(f"series of length {n} needs >= {10 * batch_length} entries")
     gamma = float(np.mean(x))
     nb = n // batch_length
     batch_means = x[: nb * batch_length].reshape(nb, batch_length).mean(axis=1)
@@ -92,7 +91,7 @@ def gamma_from_last_coordinate(
     y_all = np.asarray(log_series, dtype=float)
     n = y_all.size - 1
     if n < 100:
-        raise DegenerateWindowError("series must cover at least 100 steps")
+        raise ValueError("series must cover at least 100 steps")
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError("window_fraction must be in (0, 1]")
     start = int(math.floor(n * (1.0 - window_fraction)))
@@ -102,7 +101,7 @@ def gamma_from_last_coordinate(
     k, y = k[usable], y[usable]
     m = k.size
     if m < 50:
-        raise DegenerateWindowError(f"only {m} usable points in window, need >= 50")
+        raise ValueError(f"only {m} usable points in window, need >= 50")
 
     kc = k - k.mean()
     skk = float(kc @ kc)
@@ -123,6 +122,13 @@ def gamma_from_last_coordinate(
     return GrowthEstimate(slope, stderr, n, 1, method)
 
 
+def gamma_from_weighted_norm(est: GrowthEstimate, log_weighted_norm: float) -> GrowthEstimate:
+    """Rate of the weighted norm of one run: gamma_hat + log ||Z_n||_c / n, with the plain estimate's stderr."""
+    return GrowthEstimate(
+        est.gamma_hat + log_weighted_norm / est.n_steps, est.stderr, est.n_steps, 1, Method.WEIGHTED_NORM
+    )
+
+
 def compare_rates(a: GrowthEstimate, b: GrowthEstimate) -> RateComparison:
     """Three-sigma consistency verdict on two rate estimates."""
     if not (math.isfinite(a.gamma_hat) and math.isfinite(b.gamma_hat)):
@@ -134,7 +140,7 @@ def compare_rates(a: GrowthEstimate, b: GrowthEstimate) -> RateComparison:
     else:
         z = diff / joint
     verdict = abs(diff) <= 3.0 * joint
-    return RateComparison(a=a, b=b, z_score=z, verdict=verdict)
+    return RateComparison(z_score=z, verdict=verdict)
 
 
 def pool_estimates(estimates: Sequence[GrowthEstimate]) -> GrowthEstimate:

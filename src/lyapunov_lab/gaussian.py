@@ -124,7 +124,6 @@ class EtaResult:
     rho_grid: np.ndarray
     mean_f: np.ndarray
     eta_hat: float
-    quad_order: int
 
 
 def eta(quad_order: int = 80, grid_size: int = 201) -> EtaResult:
@@ -140,7 +139,7 @@ def eta(quad_order: int = 80, grid_size: int = 201) -> EtaResult:
         raise ValueError("grid_size must be >= 101")
     rhos = np.linspace(0.0, 1.0, grid_size)
     vals = np.array([expected_f(r, quad_order) for r in rhos])
-    return EtaResult(rho_grid=rhos, mean_f=vals, eta_hat=float(vals.max()), quad_order=quad_order)
+    return EtaResult(rho_grid=rhos, mean_f=vals, eta_hat=float(vals.max()))
 
 
 @dataclass
@@ -195,7 +194,6 @@ class LogMoments:
 
     e_log1p_g2: float
     e_log1p_g2_w2: float
-    quad_order: int
 
 
 def gaussian_log_moments(quad_order: int = 80) -> LogMoments:
@@ -205,4 +203,4 @@ def gaussian_log_moments(quad_order: int = 80) -> LogMoments:
     e1 = float(w @ np.log1p(x * x))
     g_nodes, w_nodes, ww = _gh_tensor(quad_order)
     e2 = float(np.sum(ww * np.log1p(g_nodes * g_nodes + w_nodes * w_nodes)))
-    return LogMoments(e_log1p_g2=e1, e_log1p_g2_w2=e2, quad_order=quad_order)
+    return LogMoments(e_log1p_g2=e1, e_log1p_g2_w2=e2)

@@ -10,8 +10,6 @@ from lyapunov_lab import chain
 from lyapunov_lab.chain import (
     DEFAULT_TRUNC_TOL,
     MAX_TRUNC_TOL,
-    NormalizedState,
-    WeightParameter,
     run_chain,
     weighted_norm,
 )
@@ -44,14 +42,13 @@ def test_zero_row_is_identity_case(monkeypatch):
 
 
 def test_weighted_norm_trivia():
-    e0 = NormalizedState(E0, 0.0, 0.0, 0)
     for c in (0.0, 0.3, 2.0):
-        assert weighted_norm(e0, WeightParameter(c)) == pytest.approx(1.0, abs=1e-15)
-    e1 = NormalizedState(np.array([0.0, 1.0]), 0.0, 0.0, 1)
+        assert weighted_norm(E0, c) == pytest.approx(1.0, abs=1e-15)
+    e1 = np.array([0.0, 1.0])
     for c in (0.0, 0.5, 1.0):
-        assert weighted_norm(e1, WeightParameter(c)) == pytest.approx(math.exp(c / 2.0), rel=1e-14)
-    half = NormalizedState(np.array([1.0, 1.0]) / math.sqrt(2.0), 0.0, 0.0, 1)
-    assert weighted_norm(half, WeightParameter(0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert weighted_norm(e1, c) == pytest.approx(math.exp(c / 2.0), rel=1e-14)
+    half = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert weighted_norm(half, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [200, 2000])
@@ -60,7 +57,7 @@ def test_log_norm_matches_exact_l2_oracle(n):
     run = run_chain(BERNOULLI, n, RngStream(seed, 0))
     exact = run_exact(n, RngStream(seed, 0))
     # relative 1e-8 agreement of the norms == absolute 1e-8 of the logs
-    assert abs(run.final_state.log_norm - exact.l2_log_norm()) < 1e-8
+    assert abs(run.log_norm - exact.l2_log_norm()) < 1e-8
 
 
 def test_unit_norm_invariant_along_run():
@@ -99,13 +96,13 @@ def test_increment_invariant_under_global_sign_flip(coords, row):
 
 
 def test_weighted_offsets_vanish_at_c_zero():
-    run = run_chain(BERNOULLI, 10_000, RngStream(12, 0), w=WeightParameter(0.0))
+    run = run_chain(BERNOULLI, 10_000, RngStream(12, 0), c=0.0)
     assert np.max(np.abs(run.weighted_offsets)) <= 1e-12
 
 
 def test_weighted_offsets_small_at_positive_c():
     n = 10_000
-    run = run_chain(BERNOULLI, n, RngStream(12, 1), w=WeightParameter(0.01))
+    run = run_chain(BERNOULLI, n, RngStream(12, 1), c=0.01)
     assert np.max(np.abs(run.weighted_offsets)) < 5.0
     last_decile = run.weighted_offsets[-10:]
     steps = run.checkpoint_steps[-10:]
@@ -124,10 +121,10 @@ def test_run_chain_preconditions():
         run_chain(BERNOULLI, 99, RngStream(0, 0))
     # -log(alpha) is about 0.0163 for the sign law: c above it is rejected
     with pytest.raises(ValueError):
-        run_chain(BERNOULLI, 1000, RngStream(0, 0), w=WeightParameter(0.02))
+        run_chain(BERNOULLI, 1000, RngStream(0, 0), c=0.02)
     for c in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            WeightParameter(c)
+        with pytest.raises(ValueError, match="weight exponent c must be finite and >= 0"):
+            run_chain(BERNOULLI, 1000, RngStream(0, 0), c=c)
 
 
 @pytest.mark.parametrize("tol", [0.5, 2e-8, 0.0, -1.0, math.nan, math.inf])
@@ -145,17 +142,15 @@ def _assert_same_run(a, b):
     assert np.array_equal(a.checkpoint_steps, b.checkpoint_steps)
     assert np.array_equal(a.weighted_offsets, b.weighted_offsets)
     assert np.array_equal(a.tail_means, b.tail_means)
-    fa, fb = a.final_state, b.final_state
     # bytes, not values: a -0.0 where the reference has 0.0 would print otherwise
-    assert fa.coords.tobytes() == fb.coords.tobytes()
-    assert fa.log_norm == fb.log_norm
-    assert fa.log_norm_comp == fb.log_norm_comp
-    assert fa.dropped_mass == fb.dropped_mass
-    assert fa.step == fb.step
+    assert a.coords.tobytes() == b.coords.tobytes()
+    assert a.log_norm == b.log_norm
+    assert a.log_norm_comp == b.log_norm_comp
+    assert a.dropped_mass == b.dropped_mass
 
 
-def _reference(law, n, rng, w=WeightParameter(0.0), trunc_tol=DEFAULT_TRUNC_TOL):
-    return chain._run_reference(law, n, rng, w, trunc_tol)
+def _reference(law, n, rng, c=0.0, trunc_tol=DEFAULT_TRUNC_TOL):
+    return chain._run_reference(law, n, rng, c, trunc_tol)
 
 
 @pytest.fixture
@@ -181,11 +176,10 @@ def fresh_kernel():
 @pytest.mark.parametrize("c", [0.0, 0.005])
 @pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
 def test_kernel_equals_reference_bit_for_bit(compiled, law, c, n, seed, trunc_tol, stream):
-    w = WeightParameter(c)
-    run = run_chain(law, n, RngStream(seed, stream), w, trunc_tol)
-    _assert_same_run(run, _reference(law, n, RngStream(seed, stream), w, trunc_tol))
+    run = run_chain(law, n, RngStream(seed, stream), c, trunc_tol)
+    _assert_same_run(run, _reference(law, n, RngStream(seed, stream), c, trunc_tol))
     if trunc_tol == MAX_TRUNC_TOL and n >= 1000:
-        assert run.final_state.dropped_mass > 0.0
+        assert run.dropped_mass > 0.0
 
 
 @pytest.mark.parametrize("trunc_tol", [DEFAULT_TRUNC_TOL, MAX_TRUNC_TOL])
@@ -197,8 +191,8 @@ def test_run_chain_matches_through_truncation_and_buffer_moves(compiled, trunc_t
     for stream in range(40, 44):
         run = run_chain(BERNOULLI, n, RngStream(5, stream), trunc_tol=trunc_tol)
         _assert_same_run(run, _reference(BERNOULLI, n, RngStream(5, stream), trunc_tol=trunc_tol))
-        assert run.final_state.dropped_mass > 0.0
-        assert run.final_state.coords.size < 200  # of the n + 1 the support would reach untruncated
+        assert run.dropped_mass > 0.0
+        assert run.coords.size < 200  # of the n + 1 the support would reach untruncated
 
 
 def test_run_chain_matches_when_the_buffer_grows(compiled, monkeypatch):
@@ -206,8 +200,8 @@ def test_run_chain_matches_when_the_buffer_grows(compiled, monkeypatch):
     monkeypatch.setattr(chain, "_KERNEL_ROWS", 16)
     for c in (0.0, 0.005):
         for stream in range(40, 44):
-            run = run_chain(GAUSSIAN, 600, RngStream(9, stream), WeightParameter(c))
-            _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, stream), WeightParameter(c)))
+            run = run_chain(GAUSSIAN, 600, RngStream(9, stream), c)
+            _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, stream), c))
 
 
 def test_run_chain_checks_the_truncation_budget(monkeypatch):
@@ -235,14 +229,14 @@ def test_run_chain_rejects_rows_past_the_counter_limb():
 
 
 def test_kernel_builds_into_the_cache_directory(compiled, fresh_kernel, tmp_path, monkeypatch):
-    expected = run_chain(GAUSSIAN, 300, RngStream(4, 1), WeightParameter(0.005))
+    expected = run_chain(GAUSSIAN, 300, RngStream(4, 1), 0.005)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     chain._kernel.cache_clear()
     assert chain.chain_engine() == "compiled"
     built = list((tmp_path / "lyapunov_lab").iterdir())
     assert [p.suffix for p in built] == [".so"]  # the temporary file was renamed, none is left
     stamp = built[0].stat().st_mtime_ns
-    _assert_same_run(run_chain(GAUSSIAN, 300, RngStream(4, 1), WeightParameter(0.005)), expected)
+    _assert_same_run(run_chain(GAUSSIAN, 300, RngStream(4, 1), 0.005), expected)
     chain._kernel.cache_clear()
     assert chain.chain_engine() == "compiled"  # loaded from the cache, not built again
     assert list((tmp_path / "lyapunov_lab").iterdir()) == built

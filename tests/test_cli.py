@@ -1,16 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lyapunov_lab import chain, cli, gaussian, verification
 from lyapunov_lab.cli import dispatch
+from lyapunov_lab.recursion import EXACT_STEP_CAP, VT_STEP_CAP
 
 
 def _run(capsys, argv):
@@ -233,6 +239,14 @@ def test_module_entry_points():
         (["simulate", "--model", "exact", "--n", "20", "--trunc-tol", "1e-9"], "does not read --trunc-tol"),
         (["gamma", "--model", "chain", "--n", "1000", "--trajectories", "0"], "--trajectories must be >= 1"),
         (["lo", "--coeffs", "1,x"], "--coeffs must be comma-separated integers"),
+        (["lo", "--coeffs", ","], "--coeffs must name at least one integer"),
+        (["gamma", "--model", "chain", "--n", "1000", "--batch-length", "0"], "argument --batch-length: must be >= 1"),
+        (["gamma", "--model", "chain", "--n", "200", "--batch-length", "100"], "--batch-length 100 needs --n >= 1000"),
+        (["gamma", "--model", "exact", "--n", "20"], "--n must be >= 100 for gamma"),
+        (["simulate", "--model", "exact", "--n", "10", "--seed", "-1"], "argument --seed: must be in [0, 2^64)"),
+        (["simulate", "--model", "exact", "--n", "10", "--stream-id", "-1"], "argument --stream-id: must be in"),
+        (["couple", "--n", "10", "--stream-id", str(2**64)], "argument --stream-id: must be in [0, 2^64)"),
+        (["tails", "--n", "200", "--chains", "2", "--max-index", "201"], "max_index must be <= n"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, message):
@@ -240,6 +254,104 @@ def test_usage_errors_exit_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_gamma_takes_every_n_from_100(capsys):
+    # the default batch length ceil(sqrt(n)) = 11 needs 110 steps; it is capped at n // 10
+    for n in range(100, 121):
+        assert dispatch(["gamma", "--model", "chain", "--n", str(n)]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+
+
+def test_tails_max_z_ignores_indices_no_chain_reached(capsys):
+    # the chains' support ends near index 130; the columns past it have no spread
+    argv = ["tails", "--chains", "16", "--n", "1000", "--seed", "3", "--max-index"]
+    code, reached = _run(capsys, argv + ["130"])
+    assert code == 0
+    code, beyond = _run(capsys, argv + ["200"])
+    assert code == 0
+    reached, beyond = json.loads(reached), json.loads(beyond)
+    assert reached["max_z"] < -100.0
+    assert beyond["max_z"] == reached["max_z"]
+    assert beyond["passed"] is reached["passed"] is True
+
+
+_BAD_UINT64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+_MODEL_LAWS = [("exact", "bernoulli"), ("vt", "gaussian"), ("fib", "bernoulli"), ("chain", "bernoulli")]
+
+
+def _bad(argv: list[str], flag: str, values) -> st.SearchStrategy:
+    """(argv + [flag, value], flag) for every value drawn."""
+    return values.map(lambda v: (argv + [flag, str(v)], flag))
+
+
+def _out_of_domain_cases() -> st.SearchStrategy:
+    below_one, below_100 = st.integers(max_value=0), st.integers(1, 99)
+    cases = [
+        _bad(["couple"], "--n", below_one),
+        _bad(["tails"], "--n", below_one),
+        _bad(["tails"], "--n", below_100),
+        _bad(["tails"], "--chains", st.integers(max_value=1)),
+        _bad(["tails"], "--max-index", st.integers(max_value=-1)),
+        st.integers(100, 5000).flatmap(
+            lambda n: _bad(["tails", "--n", str(n)], "--max-index", st.integers(min_value=n + 1))
+        ),
+        _bad(["gamma", "--model", "chain", "--n", "1000"], "--batch-length", st.integers(max_value=0)),
+    ]
+    for model, law in _MODEL_LAWS:
+        cases.append(_bad(["simulate", "--model", model, "--law", law], "--n", below_one))
+        cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_one))
+        cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_100))
+        gamma = ["gamma", "--model", model, "--law", law, "--n", "1000"]
+        cases.append(_bad(gamma, "--trajectories", st.integers(max_value=0)))
+    cases.append(_bad(["simulate", "--model", "chain"], "--n", below_100))
+    for model, law, cap in (("exact", "bernoulli", EXACT_STEP_CAP), ("vt", "gaussian", VT_STEP_CAP)):
+        for command in ("simulate", "gamma"):
+            cases.append(_bad([command, "--model", model, "--law", law], "--n", st.integers(min_value=cap + 1)))
+    valid = [
+        ["simulate", "--model", "exact", "--n", "10"],
+        ["gamma", "--model", "fib", "--n", "1000"],
+        ["alpha", "--sigma2", "1", "--fourth-moment", "1"],
+        ["eta"],
+        ["couple", "--n", "10"],
+        ["lo", "--coeffs", "1,2"],
+        ["tails", "--chains", "2"],
+        ["verify", "--suite", "inequalities"],
+    ]
+    for argv in valid:
+        cases.append(_bad(argv, "--seed", _BAD_UINT64))
+        if argv[0] in ("simulate", "couple"):
+            cases.append(_bad(argv, "--stream-id", _BAD_UINT64))
+    return st.one_of(cases)
+
+
+@given(case=_out_of_domain_cases())
+@settings(max_examples=300, deadline=None)
+def test_out_of_domain_integer_flags_exit_two_naming_the_flag(case):
+    # every value is out of its domain, so each command stops before it simulates anything
+    argv, flag = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code == 2, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    message = err.getvalue().strip().splitlines()[-1]  # argparse prints its usage above the error
+    word = flag[2:].replace("-", "_")
+    assert re.search(rf"(?<![\w-]){flag}\b|\b{word}\b", message), (argv, message)
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [shlex.split(line, comments=True) for line in readme.splitlines() if line.startswith("lyapunov-lab ")]
+    examples = [words[1:] for words in lines if not words[1].startswith("<")]  # skip the synopsis
+    assert len(examples) >= 11
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(cli._join_coeffs(argv))
+        except SystemExit:
+            pytest.fail(f"README example does not parse: lyapunov-lab {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("model, law", [("exact", "gaussian"), ("vt", "bernoulli"), ("fib", "gaussian")])

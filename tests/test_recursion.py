@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lyapunov_lab.errors import MemoryBudgetError
+from lyapunov_lab import recursion
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
 from lyapunov_lab.recursion import EXACT_STEP_CAP, VT_STEP_CAP, run_exact, run_exact_float, run_fibonacci, run_vt
 from lyapunov_lab.util import log_abs_bigint
@@ -14,9 +15,20 @@ from lyapunov_lab.verification import GAMMA_FIB_ORACLE
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _scripted_rows(mp, signs):
+    """Make the recursions draw their coefficient rows from `signs`, in order."""
+    it = iter(signs)
+
+    def take(count, k):
+        return np.array([next(it) for _ in range(count * k)], dtype=float).reshape(count, k)
+
+    mp.setattr(recursion, "sample_row", lambda law, rng, k: take(1, k)[0])
+    mp.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: take(count, k))
+
 def test_all_plus_doubles():
     traj = run_exact(10, RngStream(0), sign_override=1)
     assert traj.values == [1] + [2 ** max(k - 1, 0) for k in range(1, 11)]
+    assert run_exact(10, RngStream(0), sign_override=-1).values[1:3] == [-1, 0]
 
 
 def test_first_step_is_a_sign():
@@ -57,7 +69,9 @@ def test_parity_invariant_random_runs():
 @settings(max_examples=40, deadline=None)
 def test_parity_invariant_any_signs(signs):
     # 15 signs feed rows of sizes 1..5 for a 5-step run
-    values = run_exact(5, RngStream(0), sign_override=signs).values
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        _scripted_rows(mp, signs)
+        values = run_exact(5, RngStream(0)).values
     running = values[0]
     for k in range(1, len(values)):
         assert (values[k] - running) % 2 == 0
@@ -65,13 +79,13 @@ def test_parity_invariant_any_signs(signs):
 
 
 def test_vt_step_cap():
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(ValueError, match="cap"):
         run_vt(VT_STEP_CAP + 1, RngStream(0))
     assert VT_STEP_CAP >= 10_000  # check_vt_log4 and growth_rate_survey.py run n = 10,000
 
 
 def test_exact_step_cap():
-    with pytest.raises(MemoryBudgetError):
+    with pytest.raises(ValueError, match="cap"):
         run_exact(EXACT_STEP_CAP + 1, RngStream(0))
     assert len(run_exact(5, RngStream(0)).values) == 6
 
@@ -80,14 +94,17 @@ def test_float_path_matches_exact():
     n, seed = 500, 3131
     exact = run_exact(n, RngStream(seed, 0))
     flt = run_exact_float(n, RngStream(seed, 0))
-    assert abs(log_abs_bigint(exact.values[n]) - flt.log_abs(n)) <= 1e-8 * n
+    assert abs(log_abs_bigint(exact.values[n]) - flt[n]) <= 1e-8 * n
 
 
-def test_float_path_same_signs_as_exact():
+def test_float_path_same_signs_as_exact(monkeypatch):
     signs = [1, -1, 1, 1, -1, -1, 1, -1, 1, 1]
-    exact = run_exact(4, RngStream(0), sign_override=signs)
-    flt = run_exact_float(4, RngStream(0), sign_override=signs)
-    assert np.allclose(flt.scaled_values, [float(v) for v in exact.values])
+    _scripted_rows(monkeypatch, signs)
+    exact = run_exact(4, RngStream(0))
+    _scripted_rows(monkeypatch, signs)
+    flt = run_exact_float(4, RngStream(0))
+    assert exact.values == [1, 1, 0, -2, 0]
+    assert np.allclose(flt, exact.log_abs_series())
 
 
 def test_vt_forced_cancellation_at_step_one():
@@ -126,15 +143,17 @@ def test_vt_single_run_rate_band():
     assert 1.30 < out[-1] / n < 1.48
 
 
-def test_fibonacci_classical_growth():
+def test_fibonacci_classical_growth(monkeypatch):
+    _scripted_rows(monkeypatch, itertools.repeat(1))
     n = 10_000
-    out = run_fibonacci(n, RngStream(0), sign_override=1)
+    out = run_fibonacci(n, RngStream(0))
     assert out[-1] / n == pytest.approx(math.log(GOLDEN), abs=1e-3)
 
 
-def test_fibonacci_zero_hit_recorded_and_survived():
+def test_fibonacci_zero_hit_recorded_and_survived(monkeypatch):
     # signs (+1, -1) at the first step force f2 = 1 - 1 = 0
-    out = run_fibonacci(4, RngStream(0), sign_override=[1, -1, 1, 1, 1, 1])
+    _scripted_rows(monkeypatch, [1, -1, 1, 1, 1, 1])
+    out = run_fibonacci(4, RngStream(0))
     assert out[2] == float("-inf")
     assert np.isfinite(out[3])
 
@@ -172,17 +191,16 @@ def test_fibonacci_chunked_rows_match_per_row_loop(n):
     assert np.array_equal(out, _fibonacci_per_row(n, RngStream(2718, 3)))
 
 
-def test_fibonacci_sequence_override_spans_chunks():
+def test_fibonacci_scripted_rows_span_chunks(monkeypatch):
     n = ROW_CHUNK + 3
     signs = [1 if (i * 7) % 3 else -1 for i in range(2 * (n - 1))]
-    out = run_fibonacci(n, RngStream(0), sign_override=signs)
+    _scripted_rows(monkeypatch, signs)
+    out = run_fibonacci(n, RngStream(0))
     a, b, ref = 1, 1, [0.0, 0.0]
     for k in range(n - 1):
         a, b = signs[2 * k] * a + signs[2 * k + 1] * b, a
         ref.append(log_abs_bigint(a) if a else float("-inf"))
     assert np.allclose(out, ref, rtol=0, atol=1e-9 * n)
-    with pytest.raises(ValueError):
-        run_fibonacci(n + 1, RngStream(0), sign_override=signs)
 
 
 def test_preconditions():
@@ -192,7 +210,5 @@ def test_preconditions():
         run_fibonacci(1, RngStream(0))
     with pytest.raises(ValueError):
         run_vt(0, RngStream(0))
-    with pytest.raises(ValueError):
-        run_exact(3, RngStream(0), sign_override=[1, -1])  # exhausted override
     with pytest.raises(ValueError):
         run_exact(3, RngStream(0), sign_override=2)
