@@ -41,11 +41,13 @@ __all__ = [
     "chain_engine",
     "DEFAULT_TRUNC_TOL",
     "MAX_TRUNC_TOL",
+    "CHAIN_STEP_CAP",
 ]
 
 DEFAULT_TRUNC_TOL = 1e-14
 MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
 MAX_STEPS = 1 << 34  # rows at and past 2^34 leave the low 64-bit limb of the Philox counter
+CHAIN_STEP_CAP = 10**8  # the increments hold 8 bytes a step: 800 MB at the cap
 
 
 @dataclass
@@ -135,6 +137,8 @@ def _check_run(law: CoefficientLaw, n: int, c: float, trunc_tol: float) -> float
         raise ValueError("n must be >= 100")
     if n >= MAX_STEPS:
         raise ValueError(f"n must be below 2^34, got {n}")
+    if n > CHAIN_STEP_CAP:
+        raise ValueError(f"n={n} exceeds the chain's step cap {CHAIN_STEP_CAP}")
     if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
         raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
     if c > 0.0:
@@ -166,7 +170,7 @@ def run_chain(
     checkpoints, and the per-index mean |z_i| over the last half of the run.
     For c > 0 the weight must satisfy c < -log(alpha) for the law's moments,
     the regime where the weighted and plain rates provably agree.
-    trunc_tol must lie in (0, MAX_TRUNC_TOL], and n in [100, 2^34).
+    trunc_tol must lie in (0, MAX_TRUNC_TOL], and n in [100, CHAIN_STEP_CAP].
 
     The compiled kernel runs the trajectory when it can be built (see
     chain_engine), the reference loop _run_reference otherwise; both give

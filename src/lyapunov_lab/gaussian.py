@@ -36,7 +36,10 @@ __all__ = [
     "eta",
     "couple",
     "gaussian_log_moments",
+    "COUPLE_STEP_CAP",
 ]
+
+COUPLE_STEP_CAP = 10**7  # the trace holds 24 bytes a step: 240 MB at the cap
 
 _LIMIT_A2 = 1e-12  # below this squared misalignment, use the rho = 1 limit form
 
@@ -162,10 +165,12 @@ def couple(n: int, rng: RngStream, rho0: float = 0.0) -> CouplingTrace:
     by F(rho, g, w) and rho recovered as sqrt(1 - exp(log a^2)), clamped to
     [0, 1]. Once a^2 underflows the limit form of F takes over on its own.
     Step t draws its (g, w) pair at rng row t-1, so a trace is a pure
-    function of (seed, stream, rho0).
+    function of (seed, stream, rho0). n is capped at COUPLE_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > COUPLE_STEP_CAP:
+        raise ValueError(f"n={n} exceeds the coupling trace's step cap {COUPLE_STEP_CAP}")
     if not 0.0 <= rho0 < 1.0:
         raise ValueError("rho0 must lie in [0, 1)")
     rho = np.empty(n + 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -33,10 +34,12 @@ __all__ = [
     "run_fibonacci",
     "EXACT_STEP_CAP",
     "VT_STEP_CAP",
+    "FIB_STEP_CAP",
 ]
 
 EXACT_STEP_CAP = 4096  # exact mode is a validation oracle, not a production path
 VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 1 s, 2e4 about 4 s
+FIB_STEP_CAP = 10**8  # the series holds 8 bytes a step: 800 MB at the cap
 
 _RENORM_HI = 2.0**64
 _RENORM_LO = 2.0**-64
@@ -65,9 +68,12 @@ class ExactTrajectory:
 def run_exact(n: int, rng: RngStream, sign_override: int | None = None) -> ExactTrajectory:
     """Exact big-integer run of the full-history recursion, n steps.
 
-    sign_override = +1 or -1 puts that sign on every coefficient, for
-    deterministic checks. Memory and time are O(n^2) bits, so n is capped
-    at EXACT_STEP_CAP.
+    Each step uses x[k+1] = sum_i eps[k,i] x[k-i] = 2 * (sum of the x[j]
+    whose sign is +1) - S_k, where S_k = x[0] + ... + x[k] is the running
+    sum of the history; the integers are those of the signed sum term by
+    term. sign_override = +1 or -1 puts that sign on every coefficient, for
+    deterministic checks, so that x[k+1] = +-S_k. Memory and time are
+    O(n^2) bits, so n is capped at EXACT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -76,12 +82,16 @@ def run_exact(n: int, rng: RngStream, sign_override: int | None = None) -> Exact
     if sign_override not in (None, 1, -1):
         raise ValueError("constant sign override must be +1 or -1")
     values = [1]
+    total = 1
     for k in range(n):
-        row = _sign_row(rng, k, k + 1) if sign_override is None else np.full(k + 1, float(sign_override))
-        total = 0
-        for s, x in zip(row, reversed(values)):
-            total += x if s > 0 else -x
-        values.append(total)
+        if sign_override is None:
+            # row[i] multiplies x[k-i], so the reversed row lines up with values
+            plus = (_sign_row(rng, k, k + 1)[::-1] > 0).tobytes()
+            x = 2 * sum(compress(values, plus)) - total
+        else:
+            x = sign_override * total
+        values.append(x)
+        total += x
     return ExactTrajectory(values=values)
 
 
@@ -156,10 +166,13 @@ def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:
 
     f[0] = f[1] = 1. The pair (f[k+1], f[k]) is evolved with floating-point
     renormalization; an exact zero is recorded as -inf and the recursion
-    continues through the pair, which can never vanish entirely.
+    continues through the pair, which can never vanish entirely. n is
+    capped at FIB_STEP_CAP.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if n > FIB_STEP_CAP:
+        raise ValueError(f"n={n} exceeds the series-length cap {FIB_STEP_CAP}")
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1] = 0.0

@@ -30,6 +30,7 @@ __all__ = [
     "run_suite",
     "format_line",
     "tail_statistics",
+    "TAIL_CELL_CAP",
 ]
 
 DEFAULT_SEED = 1_000_003
@@ -39,6 +40,8 @@ GAMMA_FIB_ORACLE = math.log(1.13198824)
 the log of Viswanath's constant 1.13198824..., 0.1239756 (Viswanath,
 Math. Comp. 69, 2000). scripts/calibrate_fib_rate.py cross-checks it with
 exact big integers (ten runs of 3e5 steps gave 0.12387 +- 0.00021)."""
+
+TAIL_CELL_CAP = 10**8  # tail_statistics keeps chains x (max_index + 1) floats: 800 MB at the cap
 
 ETA_PRINTED = -0.1395
 """Reported value of the worst-case contraction constant, kept for
@@ -263,7 +266,8 @@ def tail_statistics(
     means, standard errors, the alpha powers, and the worst violation
     z-score max_i (mean_i - alpha^i) / se_i over the indices with se_i > 0
     (some chain reached them). The standard errors need at least two
-    chains, and no run of n steps reaches past index n.
+    chains, and no run of n steps reaches past index n. The table of
+    chains x (max_index + 1) tail means is capped at TAIL_CELL_CAP cells.
     """
     if chains < 2:
         raise ValueError(f"chains must be >= 2 for a standard error, got {chains}")
@@ -271,6 +275,10 @@ def tail_statistics(
         raise ValueError(f"max_index must be >= 0, got {max_index}")
     if max_index > n:
         raise ValueError(f"max_index must be <= n, got max_index={max_index} > n={n}")
+    if chains * (max_index + 1) > TAIL_CELL_CAP:
+        raise ValueError(
+            f"chains x (max_index + 1) = {chains} x {max_index + 1} exceeds the tail table's cap, {TAIL_CELL_CAP} cells"
+        )
     alpha = bounds.alpha_bound(law.sigma2, law.fourth_moment).alpha
     rows = np.zeros((chains, max_index + 1))
     for j, row in enumerate(rows):

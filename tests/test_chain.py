@@ -228,6 +228,11 @@ def test_run_chain_rejects_rows_past_the_counter_limb():
         run_chain(BERNOULLI, 2**34, RngStream(0, 0))
 
 
+def test_run_chain_step_cap():
+    with pytest.raises(ValueError, match="cap"):
+        run_chain(BERNOULLI, chain.CHAIN_STEP_CAP + 1, RngStream(0, 0))
+
+
 def test_kernel_builds_into_the_cache_directory(compiled, fresh_kernel, tmp_path, monkeypatch):
     expected = run_chain(GAUSSIAN, 300, RngStream(4, 1), 0.005)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -15,8 +15,12 @@ import pytest
 from hypothesis import given, settings
 
 from lyapunov_lab import chain, cli, gaussian, verification
+from lyapunov_lab.chain import CHAIN_STEP_CAP
 from lyapunov_lab.cli import dispatch
-from lyapunov_lab.recursion import EXACT_STEP_CAP, VT_STEP_CAP
+from lyapunov_lab.gaussian import COUPLE_STEP_CAP
+from lyapunov_lab.laws import RngStream
+from lyapunov_lab.recursion import EXACT_STEP_CAP, FIB_STEP_CAP, VT_STEP_CAP
+from lyapunov_lab.verification import TAIL_CELL_CAP
 
 
 def _run(capsys, argv):
@@ -305,9 +309,18 @@ def _out_of_domain_cases() -> st.SearchStrategy:
         gamma = ["gamma", "--model", model, "--law", law, "--n", "1000"]
         cases.append(_bad(gamma, "--trajectories", st.integers(max_value=0)))
     cases.append(_bad(["simulate", "--model", "chain"], "--n", below_100))
-    for model, law, cap in (("exact", "bernoulli", EXACT_STEP_CAP), ("vt", "gaussian", VT_STEP_CAP)):
+    step_caps = (
+        ("exact", "bernoulli", EXACT_STEP_CAP),
+        ("vt", "gaussian", VT_STEP_CAP),
+        ("fib", "bernoulli", FIB_STEP_CAP),
+        ("chain", "bernoulli", CHAIN_STEP_CAP),
+    )
+    for model, law, cap in step_caps:
         for command in ("simulate", "gamma"):
             cases.append(_bad([command, "--model", model, "--law", law], "--n", st.integers(min_value=cap + 1)))
+    cases.append(_bad(["couple"], "--n", st.integers(min_value=COUPLE_STEP_CAP + 1)))
+    cases.append(_bad(["tails"], "--n", st.integers(min_value=CHAIN_STEP_CAP + 1)))
+    cases.append(_bad(["tails", "--max-index", "50"], "--chains", st.integers(min_value=TAIL_CELL_CAP // 51 + 1)))
     valid = [
         ["simulate", "--model", "exact", "--n", "10"],
         ["gamma", "--model", "fib", "--n", "1000"],
@@ -325,14 +338,30 @@ def _out_of_domain_cases() -> st.SearchStrategy:
     return st.one_of(cases)
 
 
+# every simulation draws rows through one of these, or runs the chain through one of these
+_SIMULATION_ENTRIES = [
+    (RngStream, "seek_row"),
+    (RngStream, "rows"),
+    (chain, "_run_compiled"),
+    (chain, "_run_reference"),
+]
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a simulation started before the flags were checked")
+
+
 @given(case=_out_of_domain_cases())
 @settings(max_examples=300, deadline=None)
 def test_out_of_domain_integer_flags_exit_two_naming_the_flag(case):
     # every value is out of its domain, so each command stops before it simulates anything
     argv, flag = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch(argv)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no function-scoped fixture
+        for owner, name in _SIMULATION_ENTRIES:
+            mp.setattr(owner, name, _no_simulation)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
     assert code == 2, (argv, err.getvalue())
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.special import exp1
 
 from lyapunov_lab.gaussian import (
+    COUPLE_STEP_CAP,
     E_LOG1P_G2,
     ETA,
     LAMBDA_V,
@@ -229,5 +230,7 @@ def test_couple_preconditions():
         couple(0, RngStream(0, 0), 0.0)
     with pytest.raises(ValueError):
         couple(10, RngStream(0, 0), 1.0)
+    with pytest.raises(ValueError, match="cap"):
+        couple(COUPLE_STEP_CAP + 1, RngStream(0, 0), 0.0)
     with pytest.raises(ValueError):
         contraction_f(1.5, 0.0, 0.0)

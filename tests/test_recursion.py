@@ -8,7 +8,15 @@ import hypothesis.strategies as st
 
 from lyapunov_lab import recursion
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
-from lyapunov_lab.recursion import EXACT_STEP_CAP, VT_STEP_CAP, run_exact, run_exact_float, run_fibonacci, run_vt
+from lyapunov_lab.recursion import (
+    EXACT_STEP_CAP,
+    FIB_STEP_CAP,
+    VT_STEP_CAP,
+    run_exact,
+    run_exact_float,
+    run_fibonacci,
+    run_vt,
+)
 from lyapunov_lab.util import log_abs_bigint
 from lyapunov_lab.verification import GAMMA_FIB_ORACLE
 
@@ -26,9 +34,33 @@ def _scripted_rows(mp, signs):
     mp.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: take(count, k))
 
 def test_all_plus_doubles():
-    traj = run_exact(10, RngStream(0), sign_override=1)
-    assert traj.values == [1] + [2 ** max(k - 1, 0) for k in range(1, 11)]
-    assert run_exact(10, RngStream(0), sign_override=-1).values[1:3] == [-1, 0]
+    # x[k+1] = +-S_k: all plus doubles the running sum, all minus cancels it
+    for n in (1, 2, 10, 300):
+        assert run_exact(n, RngStream(0), sign_override=1).values == [1] + [2 ** max(k - 1, 0) for k in range(1, n + 1)]
+        assert run_exact(n, RngStream(0), sign_override=-1).values == [1, -1] + [0] * (n - 1)
+
+
+def _exact_term_by_term(n: int, rng: RngStream) -> list[int]:
+    # reference: the signed sum of the recursion, one term at a time
+    values = [1]
+    for k in range(n):
+        row = recursion._sign_row(rng, k, k + 1)
+        total = 0
+        for s, x in zip(row, reversed(values)):
+            total += x if s > 0 else -x
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize(
+    "seed, stream, n",
+    [
+        (0, 0, 1), (5, 2, 1), (0, 0, 2), (31, 7, 2), (1, 0, 3),
+        (17, 1, 64), (2024, 3, 257), (1_000_003, 300, 400), (2**64 - 1, 11, 650),
+    ],
+)
+def test_exact_matches_term_by_term_signed_sum(seed, stream, n):
+    assert run_exact(n, RngStream(seed, stream)).values == _exact_term_by_term(n, RngStream(seed, stream))
 
 
 def test_first_step_is_a_sign():
@@ -208,6 +240,8 @@ def test_preconditions():
         run_exact(0, RngStream(0))
     with pytest.raises(ValueError):
         run_fibonacci(1, RngStream(0))
+    with pytest.raises(ValueError, match="cap"):
+        run_fibonacci(FIB_STEP_CAP + 1, RngStream(0))
     with pytest.raises(ValueError):
         run_vt(0, RngStream(0))
     with pytest.raises(ValueError):
