@@ -77,27 +77,32 @@ def _require_n(args) -> None:
         raise ValueError("--n is required (on the command line or in the config file)")
 
 
-# the defaults of the flags that only some models read
-_MODEL_FLAGS = {"c": 0.0, "trunc_tol": chain.DEFAULT_TRUNC_TOL, "batch_length": None, "window_fraction": 0.5}
+# the defaults of the flags that only the chain reads
+_CHAIN_FLAGS = {"c": 0.0, "trunc_tol": chain.DEFAULT_TRUNC_TOL}
 
-# per model: the law it draws from (None: the one --law names), the error for any
-# other law, and the flags of _MODEL_FLAGS it reads
-_MODELS = {
-    "chain": (None, None, {"c", "trunc_tol", "batch_length"}),
-    "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only", {"window_fraction"}),
-    "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian", {"window_fraction"}),
-    "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli", {"window_fraction"}),
+# per recursion model: the law it draws from, and the error for the other law
+_LAWS = {
+    "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only"),
+    "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian"),
+    "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli"),
 }
 
 
 def _check_model(args) -> None:
-    """Refuse a law the model does not draw from, and a flag it does not read set off its default."""
-    law, message, reads = _MODELS[args.model]
-    if law is not None and args.law != law:
+    """Refuse a law the model does not draw from, and a chain flag set off its default on another model."""
+    if args.model == "chain":
+        return
+    law, message = _LAWS[args.model]
+    if args.law != law:
         raise ValueError(message)
-    for name, default in _MODEL_FLAGS.items():
-        if name not in reads and getattr(args, name, default) != default:
+    for name, default in _CHAIN_FLAGS.items():
+        if getattr(args, name, default) != default:
             raise ValueError(f"--model {args.model} does not read --{name.replace('_', '-')}")
+
+
+def _finite_or_none(x) -> Optional[float]:
+    """x as a float, or None (JSON null) for the -inf of an exact zero final value."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
@@ -108,7 +113,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     if args.model == "exact":
         traj = recursion.run_exact(args.n, rng)
         series = traj.log_abs_series()
-        results = {"model": "exact", "n": args.n, "log_abs_final": float(series[-1])}
+        results = {"model": "exact", "n": args.n, "log_abs_final": _finite_or_none(series[-1])}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(series))}
     elif args.model == "vt":
         out = recursion.run_vt(args.n, rng)
@@ -116,7 +121,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
     elif args.model == "fib":
         out = recursion.run_fibonacci(args.n, rng)
-        results = {"model": "fib", "n": args.n, "rate": float(out[-1]) / args.n}
+        results = {"model": "fib", "n": args.n, "rate": _finite_or_none(float(out[-1]) / args.n)}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
     else:
         run = chain.run_chain(law, args.n, rng, c=args.c, trunc_tol=args.trunc_tol)
@@ -150,18 +155,8 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
         if args.c > 0.0:
             return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]))
         return est
-    if args.model == "exact":
-        traj = recursion.run_exact(args.n, rng)
-        return estimators.gamma_from_last_coordinate(traj.log_abs_series(), args.window_fraction)
-    if args.model == "fib":
-        series = recursion.run_fibonacci(args.n, rng)
-        return estimators.gamma_from_last_coordinate(
-            series, args.window_fraction, method=estimators.Method.FIBONACCI_PAIR
-        )
-    series = recursion.run_vt(args.n, rng)
-    return estimators.gamma_from_last_coordinate(
-        series, args.window_fraction, method=estimators.Method.VT_SUM_SQUARES
-    )
+    log_norms = recursion.log_norms(args.model, args.n, rng)
+    return estimators.gamma_from_increments(np.diff(log_norms), args.batch_length)
 
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
@@ -171,14 +166,17 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
         raise ValueError(f"--trajectories must be >= 1, got {args.trajectories}")
     if args.n < 100:
         raise ValueError(f"--n must be >= 100 for gamma, got {args.n}")
-    if args.batch_length is not None and 10 * args.batch_length > args.n:
-        raise ValueError(f"--batch-length {args.batch_length} needs --n >= {10 * args.batch_length}, got --n {args.n}")
+    if args.batch_length is not None:
+        # ten batches of increments; fib's log norm starts at step 1, so it has n - 1 of them
+        n_min = 10 * args.batch_length + (args.model == "fib")
+        if args.n < n_min:
+            raise ValueError(f"--batch-length {args.batch_length} needs --n >= {n_min}, got --n {args.n}")
     ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories))
     est = estimators.pool_estimates(ests)
     results = {
         "gamma_hat": est.gamma_hat,
         "stderr": est.stderr,
-        "n": est.n_steps,
+        "n": args.n,
         "method": est.method.value,
         "n_trajectories": est.n_trajectories,
         "law": args.law,
@@ -332,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--stream-id", type=_uint64, default=0)
-    p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"], help="weight exponent (chain model)")
-    p.add_argument("--trunc-tol", type=_finite_float, default=_MODEL_FLAGS["trunc_tol"])
+    p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"], help="weight exponent (chain model)")
+    p.add_argument("--trunc-tol", type=_finite_float, default=_CHAIN_FLAGS["trunc_tol"])
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -342,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trajectories", type=int, default=1)
-    p.add_argument("--c", type=_finite_float, default=_MODEL_FLAGS["c"])
-    p.add_argument("--batch-length", type=_int_in(1, math.inf, ">= 1"), default=_MODEL_FLAGS["batch_length"])
-    p.add_argument("--window-fraction", type=_finite_float, default=_MODEL_FLAGS["window_fraction"])
+    p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"])
+    p.add_argument("--batch-length", type=_int_in(1, math.inf, ">= 1"), default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
 

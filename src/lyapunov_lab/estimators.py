@@ -1,4 +1,4 @@
-"""Growth-rate estimators with batch-means and regression standard errors."""
+"""Growth-rate estimators: batch means of log-norm increments, pooling and comparison."""
 
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ class Method(str, Enum):
     NORM_INCREMENTS = "norm_increments"
     LAST_COORDINATE = "last_coordinate"
     WEIGHTED_NORM = "weighted_norm"
-    FIBONACCI_PAIR = "fibonacci_pair"
-    VT_SUM_SQUARES = "vt_sum_squares"
 
 
 @dataclass(frozen=True)
@@ -76,25 +74,19 @@ def gamma_from_increments(
     return GrowthEstimate(gamma, stderr, n, 1, Method.NORM_INCREMENTS)
 
 
-def gamma_from_last_coordinate(
-    log_series: np.ndarray,
-    window_fraction: float = 0.5,
-    method: Method = Method.LAST_COORDINATE,
-) -> GrowthEstimate:
-    """Least-squares slope of log|x_k| over the trailing window.
+def gamma_from_last_coordinate(log_series: np.ndarray) -> GrowthEstimate:
+    """Least-squares slope of log|x_k| over the second half of the series.
 
-    -inf entries (exact zeros of the trajectory) are excluded. The slope
-    variance is inflated by 1 + 2*sum of residual autocorrelations up to
-    lag sqrt(m), floored at 1, because the residuals of a random-walk-like
-    series are strongly dependent; the resulting interval is heuristic.
+    -inf entries (exact zeros of the trajectory) are excluded. The stderr
+    is the plain regression one, which ignores the strong dependence of
+    the residuals: pool several trajectories for an interval.
     """
+    # theorem1_rates' statistic of log|X_n| itself; perfbench/tracing.py times it
     y_all = np.asarray(log_series, dtype=float)
     n = y_all.size - 1
     if n < 100:
         raise ValueError("series must cover at least 100 steps")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must be in (0, 1]")
-    start = int(math.floor(n * (1.0 - window_fraction)))
+    start = n // 2
     k = np.arange(start, n + 1)
     y = y_all[start:]
     usable = np.isfinite(y)
@@ -108,18 +100,8 @@ def gamma_from_last_coordinate(
     slope = float(kc @ (y - y.mean())) / skk
     intercept = float(y.mean() - slope * k.mean())
     resid = y - (intercept + slope * k)
-    s2 = float(resid @ resid) / (m - 2)
-
-    lags = math.isqrt(m)
-    denom = float(resid @ resid)
-    factor = 1.0
-    if denom > 0.0:
-        acsum = 0.0
-        for lag in range(1, lags + 1):
-            acsum += float(resid[:-lag] @ resid[lag:]) / denom
-        factor = max(1.0, 1.0 + 2.0 * acsum)
-    stderr = math.sqrt(s2 / skk * factor)
-    return GrowthEstimate(slope, stderr, n, 1, method)
+    stderr = math.sqrt(float(resid @ resid) / (m - 2) / skk)
+    return GrowthEstimate(slope, stderr, n, 1, Method.LAST_COORDINATE)
 
 
 def gamma_from_weighted_norm(est: GrowthEstimate, log_weighted_norm: float) -> GrowthEstimate:

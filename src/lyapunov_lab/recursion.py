@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "run_exact_float",
     "run_vt",
     "run_fibonacci",
+    "log_norms",
     "EXACT_STEP_CAP",
     "VT_STEP_CAP",
     "FIB_STEP_CAP",
@@ -60,9 +61,9 @@ class ExactTrajectory:
     def log_abs_series(self) -> np.ndarray:
         return np.array([log_abs_bigint(v) for v in self.values])
 
-    def l2_log_norm(self) -> float:
-        """log of the l2 norm of the whole history, computed exactly."""
-        return 0.5 * log_abs_bigint(sum(v * v for v in self.values))
+    def log_norm_series(self) -> np.ndarray:
+        """log of the l2 norm of the history x[0..k] at k = 0..n, from exact running sums of squares."""
+        return np.array([0.5 * log_abs_bigint(s) for s in accumulate(v * v for v in self.values)])
 
 
 def run_exact(n: int, rng: RngStream, sign_override: int | None = None) -> ExactTrajectory:
@@ -190,3 +191,21 @@ def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:
                 b /= m
                 log_scale += math.log(m)
     return out
+
+
+def log_norms(model: str, n: int, rng: RngStream) -> np.ndarray:
+    """log of the norm of a recursion's state, step by step; its increments average to the growth rate.
+
+    exact: log ||(x[0], ..., x[k])|| at k = 0..n. vt: run_vt's log sum of
+    squares at k = 0..n (twice the log norm of the history). fib:
+    log ||(f[k], f[k-1])|| at k = 1..n, so n - 1 increments; the pair never
+    vanishes, so unlike log|f[k]| the series has no -inf entries.
+    """
+    if model == "exact":
+        return run_exact(n, rng).log_norm_series()
+    if model == "vt":
+        return run_vt(n, rng)
+    if model != "fib":
+        raise ValueError(f"no recursion named {model!r}")
+    s = run_fibonacci(n, rng)
+    return 0.5 * np.logaddexp(2.0 * s[1:], 2.0 * s[:-1])

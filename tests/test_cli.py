@@ -14,13 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lyapunov_lab import chain, cli, gaussian, verification
+from lyapunov_lab import chain, cli, gaussian, recursion, verification
 from lyapunov_lab.chain import CHAIN_STEP_CAP
 from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import COUPLE_STEP_CAP
 from lyapunov_lab.laws import RngStream
 from lyapunov_lab.recursion import EXACT_STEP_CAP, FIB_STEP_CAP, VT_STEP_CAP
 from lyapunov_lab.verification import TAIL_CELL_CAP
+
+
+# every model, with the law it draws from (the chain takes both)
+_MODEL_LAWS = [("exact", "bernoulli"), ("vt", "gaussian"), ("fib", "bernoulli"), ("chain", "bernoulli")]
 
 
 def _run(capsys, argv):
@@ -125,15 +129,59 @@ def test_gamma_json_contract(capsys):
     payload = json.loads(out)
     for key in ("gamma_hat", "stderr", "n", "method"):
         assert key in payload
-    assert payload["method"] == "fibonacci_pair"
+    assert payload["method"] == "norm_increments"
+    assert payload["n"] == 5000
 
 
 def test_gamma_vt_regression(capsys):
     code, out = _run(capsys, ["gamma", "--model", "vt", "--law", "gaussian", "--n", "500", "--seed", "2"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["method"] == "vt_sum_squares"
+    assert payload["method"] == "norm_increments"
     assert 1.0 < payload["gamma_hat"] < 1.8
+
+
+@pytest.mark.parametrize(
+    "model, law, n", [("exact", "bernoulli", 300), ("fib", "bernoulli", 3000), ("vt", "gaussian", 300)]
+)
+def test_gamma_of_a_recursion_is_the_mean_log_norm_increment(capsys, model, law, n):
+    code, out = _run(capsys, ["gamma", "--model", model, "--law", law, "--n", str(n), "--seed", "11"])
+    assert code == 0
+    payload = json.loads(out)
+    series = recursion.log_norms(model, n, RngStream(11, 0))
+    assert payload["gamma_hat"] == pytest.approx((series[-1] - series[0]) / (series.size - 1), rel=0, abs=1e-12)
+    assert payload["method"] == "norm_increments"
+    assert payload["n"] == n
+
+
+@pytest.mark.parametrize("model, law", [*_MODEL_LAWS, ("chain", "gaussian")])
+def test_gamma_reports_the_n_it_was_given(capsys, model, law):
+    for n in (100, 101, 257):
+        code, out = _run(capsys, ["gamma", "--model", model, "--law", law, "--n", str(n)])
+        assert code == 0
+        assert json.loads(out)["n"] == n
+
+
+def test_simulate_zero_final_is_null(tmp_path, capsys):
+    # at n = 2 the final value is 0 for 5 of these 12 seeds with exact and 3 with fib
+    zeros = {"exact": 0, "fib": 0}
+    for model, key in (("exact", "log_abs_final"), ("fib", "rate")):
+        for seed in range(12):
+            out_dir = tmp_path / f"{model}{seed}"
+            argv = ["simulate", "--model", model, "--n", "2", "--seed", str(seed), "--out", str(out_dir)]
+            code, out = _run(capsys, argv)
+            assert code == 0
+            lines = (out_dir / "series.csv").read_text().splitlines()
+            assert len(lines) == 4
+            final = float(lines[-1].split(",")[1])
+            value = json.loads(out)[key]
+            if final == float("-inf"):
+                zeros[model] += 1
+                assert value is None
+                assert json.loads((out_dir / "manifest.json").read_text())["results"][key] is None
+            else:
+                assert value == (final if model == "exact" else final / 2)
+    assert zeros == {"exact": 5, "fib": 3}
 
 
 def test_gamma_chain_weighted_method(capsys):
@@ -223,8 +271,8 @@ def test_module_entry_points():
         (["gamma", "--model", "chain", "--n", "200", "--threads", "2"], "unrecognized arguments: --threads"),
         (["gamma", "--model", "chain", "--n", "200", "--c", "nan"], "argument --c: 'nan' is not a finite"),
         (
-            ["gamma", "--model", "chain", "--n", "200", "--window-fraction", "nan"],
-            "argument --window-fraction: 'nan' is not a finite",
+            ["gamma", "--model", "fib", "--n", "200", "--window-fraction", "0.5"],
+            "unrecognized arguments: --window-fraction",
         ),
         (["simulate", "--model", "chain", "--n", "200", "--c", "nan"], "argument --c: 'nan' is not a finite"),
         (["simulate", "--model", "chain", "--n", "200", "--trunc-tol", "inf"], "argument --trunc-tol: 'inf'"),
@@ -236,8 +284,6 @@ def test_module_entry_points():
         (["alpha", "--sigma2", "one", "--fourth-moment", "1"], "argument --sigma2: 'one' is not a number"),
         (["couple", "--n", "10", "--rho0", "inf"], "argument --rho0: 'inf' is not a finite"),
         # a flag its model never reads, set off its default
-        (["gamma", "--model", "fib", "--n", "2000", "--batch-length", "7"], "does not read --batch-length"),
-        (["gamma", "--model", "chain", "--n", "1000", "--window-fraction", "0.3"], "does not read --window-fraction"),
         (["gamma", "--model", "vt", "--law", "gaussian", "--n", "200", "--c", "0.01"], "does not read --c"),
         (["simulate", "--model", "fib", "--n", "200", "--c", "0.01"], "does not read --c"),
         (["simulate", "--model", "exact", "--n", "20", "--trunc-tol", "1e-9"], "does not read --trunc-tol"),
@@ -246,6 +292,7 @@ def test_module_entry_points():
         (["lo", "--coeffs", ","], "--coeffs must name at least one integer"),
         (["gamma", "--model", "chain", "--n", "1000", "--batch-length", "0"], "argument --batch-length: must be >= 1"),
         (["gamma", "--model", "chain", "--n", "200", "--batch-length", "100"], "--batch-length 100 needs --n >= 1000"),
+        (["gamma", "--model", "fib", "--n", "1000", "--batch-length", "100"], "--batch-length 100 needs --n >= 1001"),
         (["gamma", "--model", "exact", "--n", "20"], "--n must be >= 100 for gamma"),
         (["simulate", "--model", "exact", "--n", "10", "--seed", "-1"], "argument --seed: must be in [0, 2^64)"),
         (["simulate", "--model", "exact", "--n", "10", "--stream-id", "-1"], "argument --stream-id: must be in"),
@@ -281,7 +328,6 @@ def test_tails_max_z_ignores_indices_no_chain_reached(capsys):
 
 
 _BAD_UINT64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
-_MODEL_LAWS = [("exact", "bernoulli"), ("vt", "gaussian"), ("fib", "bernoulli"), ("chain", "bernoulli")]
 
 
 def _bad(argv: list[str], flag: str, values) -> st.SearchStrategy:
@@ -300,13 +346,14 @@ def _out_of_domain_cases() -> st.SearchStrategy:
         st.integers(100, 5000).flatmap(
             lambda n: _bad(["tails", "--n", str(n)], "--max-index", st.integers(min_value=n + 1))
         ),
-        _bad(["gamma", "--model", "chain", "--n", "1000"], "--batch-length", st.integers(max_value=0)),
     ]
     for model, law in _MODEL_LAWS:
+        # at --n 1000 every model has at most 1000 increments, too few for ten batches of 101
+        gamma = ["gamma", "--model", model, "--law", law, "--n", "1000"]
+        cases.append(_bad(gamma, "--batch-length", st.integers(max_value=0) | st.integers(min_value=101)))
         cases.append(_bad(["simulate", "--model", model, "--law", law], "--n", below_one))
         cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_one))
         cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_100))
-        gamma = ["gamma", "--model", model, "--law", law, "--n", "1000"]
         cases.append(_bad(gamma, "--trajectories", st.integers(max_value=0)))
     cases.append(_bad(["simulate", "--model", "chain"], "--n", below_100))
     step_caps = (

@@ -15,7 +15,7 @@ from lyapunov_lab.estimators import (
     pool_estimates,
 )
 from lyapunov_lab.laws import RngStream
-from lyapunov_lab.recursion import run_exact, run_fibonacci
+from lyapunov_lab.recursion import run_exact
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -78,12 +78,12 @@ def test_slope_of_deterministic_doubling():
     assert est.gamma_hat == pytest.approx(math.log(2.0), abs=1e-6)
 
 
-def test_slope_of_classical_fibonacci(monkeypatch):
+def test_rate_of_classical_fibonacci(monkeypatch):
     monkeypatch.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: np.ones((count, k)))
-    series = run_fibonacci(10_000, RngStream(0))
-    est = gamma_from_last_coordinate(series, method=Method.FIBONACCI_PAIR)
+    est = gamma_from_increments(np.diff(recursion.log_norms("fib", 10_000, RngStream(0))))
     assert est.gamma_hat == pytest.approx(math.log(GOLDEN), abs=1e-4)
-    assert est.method is Method.FIBONACCI_PAIR
+    assert est.n_steps == 9_999
+    assert est.method is Method.NORM_INCREMENTS
 
 
 def test_exact_vs_increments_consistency_small():
@@ -101,8 +101,6 @@ def test_window_errors():
     series[:3] = 0.0
     with pytest.raises(ValueError, match="usable points"):
         gamma_from_last_coordinate(series)
-    with pytest.raises(ValueError):
-        gamma_from_last_coordinate(np.zeros(201), window_fraction=0.0)
 
 
 def test_minus_inf_entries_excluded():

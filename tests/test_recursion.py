@@ -12,6 +12,7 @@ from lyapunov_lab.recursion import (
     EXACT_STEP_CAP,
     FIB_STEP_CAP,
     VT_STEP_CAP,
+    log_norms,
     run_exact,
     run_exact_float,
     run_fibonacci,
@@ -188,6 +189,32 @@ def test_fibonacci_zero_hit_recorded_and_survived(monkeypatch):
     out = run_fibonacci(4, RngStream(0))
     assert out[2] == float("-inf")
     assert np.isfinite(out[3])
+
+
+def test_fibonacci_pair_log_norm_survives_zeros(monkeypatch):
+    # f2 = 0 as above: log|f_k| holds a -inf, the pair norm ||(f_k, f_{k-1})|| does not
+    _scripted_rows(monkeypatch, [1, -1, 1, 1, 1, 1])
+    norms = log_norms("fib", 4, RngStream(0))
+    f = [1, 1, 0, 1, 1]
+    assert norms.size == 4
+    assert np.allclose(norms, [0.5 * math.log(f[k] ** 2 + f[k - 1] ** 2) for k in range(1, 5)], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_exact_log_norm_series_ends_at_the_l2_norm_of_the_history(n):
+    traj = run_exact(n, RngStream(31, 4))
+    series = traj.log_norm_series()
+    assert series.size == n + 1
+    assert series[-1] == 0.5 * log_abs_bigint(sum(v * v for v in traj.values))
+    assert series[0] == 0.0
+    assert np.all(np.diff(series) >= 0.0)  # the history only gains entries
+
+
+def test_log_norms_of_exact_and_vt_are_their_own_series():
+    assert np.array_equal(log_norms("exact", 50, RngStream(3, 1)), run_exact(50, RngStream(3, 1)).log_norm_series())
+    assert np.array_equal(log_norms("vt", 50, RngStream(3, 1)), run_vt(50, RngStream(3, 1)))
+    with pytest.raises(ValueError, match="no recursion named 'chain'"):
+        log_norms("chain", 50, RngStream(3, 1))
 
 
 def test_fibonacci_random_rate_matches_oracle():

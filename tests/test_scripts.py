@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         ("growth_rate_survey.py", ["--n", "2000"], "model  law         gamma_hat    stderr  reference"),
         ("calibrate_fib_rate.py", ["--n", "2000", "--runs", "2"], "runs: 2 x n=2000"),
+        ("coverage.py", ["--runs", "2", "--seed", "5"], "model       n  runs  coverage  sd/se      mean  reference"),
     ],
 )
 def test_script_runs(script, args, header):
