@@ -2,11 +2,11 @@
  *
  * Same Philox-4x64-10 words as laws.RngStream (key (seed, stream), word
  * 4j+i of row t is word i of the block at counter t*2^30 + j + 1), same
- * draws (a sign from the top bit, a normal from scipy's ndtri of the top
- * 53 bits), and the same float operations in the same order as
- * chain._step and chain._truncate: every sum runs term by term from x[0],
- * as chain._seq_sum does. Built with -ffp-contract=off so that no product
- * and sum fuse into one rounding.
+ * draws (a sign from the top bit, a normal from scipy's ndtri of the
+ * uniform of the top 53 bits, as laws._uniforms), and the same float
+ * operations in the same order as chain._step and chain._truncate: every
+ * sum runs term by term from x[0], as chain._seq_sum does. Built with
+ * -ffp-contract=off so that no product and sum fuse into one rounding.
  *
  * z holds the state newest first in z[front .. front+k-1] of a buffer of
  * cap entries; a step prepends at front - 1. The run resumes from the
@@ -35,6 +35,12 @@ static void philox(uint64_t c0, uint64_t k0, uint64_t k1, uint64_t out[4])
         k1 += 0xBB67AE8584CAA73BULL;
     }
     out[0] = c0, out[1] = c1, out[2] = c2, out[3] = c3;
+}
+
+static double uniform(uint64_t w)  /* laws._uniforms: 2^53 - 1 would round up to 1.0 */
+{
+    double u = (double)(w >> 11) * 0x1p-53 + 0x1p-54;
+    return u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
 }
 
 static double sum_squares(const double *v, int64_t k, const double *weights)
@@ -71,7 +77,7 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, dou
             if ((i & 3) == 0)
                 philox(((uint64_t)t << 30) + (uint64_t)(i >> 2) + 1, seed, stream, word);
             uint64_t w = word[i & 3];
-            double r = ndtri ? ndtri((double)(w >> 11) * 0x1p-53 + 0x1p-54, 0) : (w >> 63 ? -1.0 : 1.0);
+            double r = ndtri ? ndtri(uniform(w), 0) : (w >> 63 ? -1.0 : 1.0);
             g = i ? g + r * v[i] : r * v[i];
         }
         double inc = 0.5 * log1p(g * g);

@@ -46,8 +46,8 @@ __all__ = [
 
 DEFAULT_TRUNC_TOL = 1e-14
 MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
-MAX_STEPS = 1 << 34  # rows at and past 2^34 leave the low 64-bit limb of the Philox counter
 CHAIN_STEP_CAP = 10**8  # the increments hold 8 bytes a step: 800 MB at the cap
+# the cap also keeps every row below 2^34, past which a row's Philox counter leaves its low 64-bit limb
 
 
 @dataclass
@@ -124,8 +124,6 @@ def _step(
 
 def weighted_norm(z: np.ndarray, c: float) -> float:
     """Exponentially weighted norm sqrt(sum_i e^(c i) z_i^2) of the coordinates z."""
-    if c == 0.0:
-        return math.sqrt(_seq_sum(z * z))
     return math.sqrt(_seq_sum(np.exp(c * np.arange(z.size)) * (z * z)))
 
 
@@ -135,8 +133,6 @@ def _check_run(law: CoefficientLaw, n: int, c: float, trunc_tol: float) -> float
         raise ValueError(f"weight exponent c must be finite and >= 0, got {c}")
     if n < 100:
         raise ValueError("n must be >= 100")
-    if n >= MAX_STEPS:
-        raise ValueError(f"n must be below 2^34, got {n}")
     if n > CHAIN_STEP_CAP:
         raise ValueError(f"n={n} exceeds the chain's step cap {CHAIN_STEP_CAP}")
     if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
@@ -338,10 +334,10 @@ def _run_compiled(
     dst = np.zeros(3)  # log norm, its compensation, dropped mass
     while True:
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
-        weights = np.exp(c * np.arange(cap)) if c > 0.0 else None
+        weights = np.exp(c * np.arange(cap))
         done = fn(
             rng.seed, rng.stream_id, ndtri if law is GAUSSIAN else None,
-            n, trunc_tol, None if weights is None else weights.ctypes.data, stride,
+            n, trunc_tol, weights.ctypes.data, stride,
             z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
             ist.ctypes.data, dst.ctypes.data,
         )  # fmt: skip

@@ -39,11 +39,6 @@ class CoefficientLaw(Enum):
     GAUSSIAN = "gaussian"
 
     @property
-    def name(self) -> str:
-        """The law's name as --law spells it, not the member's."""
-        return self.value
-
-    @property
     def sigma2(self) -> float:
         return 1.0
 
@@ -126,9 +121,20 @@ def _signs(w: np.ndarray) -> np.ndarray:
     return _SIGN_OF_TOP_BIT.take(w >> np.uint64(63))  # a lookup: half the cost of 1 - 2 * bit
 
 
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
+
+
 def _uniforms(w: np.ndarray) -> np.ndarray:
-    """The word's top 53 bits as a uniform on the open interval (0, 1)."""
-    return (w >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    """The word's top 53 bits m as a uniform on the open interval (0, 1).
+
+    u = m 2^-53 + 2^-54, rounded to the nearest double. Only m = 2^53 - 1
+    rounds up to 1.0, a tie broken to even, where the inverse normal CDF
+    is +inf; that one word is clamped to the largest double below 1, and
+    every other word keeps its value bit for bit.
+    """
+    u = (w >> np.uint64(11)) * 2.0**-53
+    u += 2.0**-54  # in place, so the clamp adds a pass over u but no allocation
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 class RngStream:
@@ -137,20 +143,19 @@ class RngStream:
     The word at counter position c is a pure function of
     (seed, stream_id, c). Exactly one 64-bit word is consumed per variate:
     signs use the word's top bit, uniforms the top 53 bits, and normals go
-    through the inverse normal CDF of that uniform. seek() is O(1), so
-    per-step row addressing costs nothing beyond a counter jump.
+    through the inverse normal CDF of that uniform. A new stream starts at
+    counter 0; seek() is O(1), so per-step row addressing costs nothing
+    beyond a counter jump.
     """
 
     __slots__ = ("seed", "stream_id", "counter", "_bg", "_bg_block", "_state")
 
-    def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
+    def __init__(self, seed: int, stream_id: int = 0):
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
             raise ValueError("seed and stream_id must be unsigned 64-bit integers")
-        if counter < 0:
-            raise ValueError("counter must be nonnegative")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        self.counter = int(counter)
+        self.counter = 0
         self._bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         self._bg_block = 0
         self._state = self._bg.state  # template for _jump; its buffer is empty

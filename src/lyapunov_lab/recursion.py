@@ -66,31 +66,25 @@ class ExactTrajectory:
         return np.array([0.5 * log_abs_bigint(s) for s in accumulate(v * v for v in self.values)])
 
 
-def run_exact(n: int, rng: RngStream, sign_override: int | None = None) -> ExactTrajectory:
+def run_exact(n: int, rng: RngStream) -> ExactTrajectory:
     """Exact big-integer run of the full-history recursion, n steps.
 
     Each step uses x[k+1] = sum_i eps[k,i] x[k-i] = 2 * (sum of the x[j]
     whose sign is +1) - S_k, where S_k = x[0] + ... + x[k] is the running
     sum of the history; the integers are those of the signed sum term by
-    term. sign_override = +1 or -1 puts that sign on every coefficient, for
-    deterministic checks, so that x[k+1] = +-S_k. Memory and time are
-    O(n^2) bits, so n is capped at EXACT_STEP_CAP.
+    term. Memory and time are O(n^2) bits, so n is capped at
+    EXACT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXACT_STEP_CAP:
         raise ValueError(f"n={n} exceeds exact-arithmetic cap {EXACT_STEP_CAP}")
-    if sign_override not in (None, 1, -1):
-        raise ValueError("constant sign override must be +1 or -1")
     values = [1]
     total = 1
     for k in range(n):
-        if sign_override is None:
-            # row[i] multiplies x[k-i], so the reversed row lines up with values
-            plus = (_sign_row(rng, k, k + 1)[::-1] > 0).tobytes()
-            x = 2 * sum(compress(values, plus)) - total
-        else:
-            x = sign_override * total
+        # row[i] multiplies x[k-i], so the reversed row lines up with values
+        plus = (_sign_row(rng, k, k + 1)[::-1] > 0).tobytes()
+        x = 2 * sum(compress(values, plus)) - total
         values.append(x)
         total += x
     return ExactTrajectory(values=values)
@@ -141,6 +135,8 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
         rng.seek_row(k)
         row = rng.normals(k)
         div = row[k - 1]
+        # the word whose top 53 bits are 2^52 gives the uniform 0.5 and so a
+        # divisor of exactly 0, once per 2^53 draws
         if abs(div) < 1e-300:
             raise DegenerateDivisorError(
                 f"|a[n,n]|={abs(div):.3e} below 1e-300 at step {k}; redrawing would bias the law"

@@ -6,6 +6,7 @@ Seeds are frozen; reruns are bit-identical.
 """
 
 import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -18,6 +19,14 @@ def _report(check):
     print()
     print(line)
     assert check.passed, line
+
+
+def test_every_check_is_a_function_of_the_seed_alone():
+    # sizes, streams and tolerances are fixed in each check's body
+    checks = [getattr(V, name) for name in dir(V) if name.startswith("check_")]
+    assert len(checks) == 17
+    for check in checks:
+        assert list(inspect.signature(check).parameters) in ([], ["seed"]), check.__name__
 
 
 def test_c01_eta_constant():

@@ -15,7 +15,7 @@ from lyapunov_lab.estimators import (
     pool_estimates,
 )
 from lyapunov_lab.laws import RngStream
-from lyapunov_lab.recursion import run_exact
+from lyapunov_lab.recursion import ExactTrajectory, run_exact
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -73,7 +73,8 @@ def test_stderr_shrinks_with_doubling():
 
 
 def test_slope_of_deterministic_doubling():
-    traj = run_exact(300, RngStream(0), sign_override=1)
+    # the all-plus trajectory of the full-history recursion: 1, 1, 2, 4, ...
+    traj = ExactTrajectory([1] + [2 ** max(k - 1, 0) for k in range(1, 301)])
     est = gamma_from_last_coordinate(traj.log_abs_series())
     assert est.gamma_hat == pytest.approx(math.log(2.0), abs=1e-6)
 

@@ -46,7 +46,7 @@ def test_eta_closed_form():
 
 
 def test_lambda_v_closed_form_matches_gauss_hermite():
-    assert abs(LAMBDA_V - gaussian_log_moments(80).e_log1p_g2 / 2.0) < 1e-8
+    assert abs(LAMBDA_V - gaussian_log_moments().e_log1p_g2 / 2.0) < 1e-8
 
 
 def test_f_vanishes_at_zero_noise():
@@ -131,14 +131,14 @@ def test_eta_preconditions():
 
 
 def test_log_moments_against_closed_form_and_oracle():
-    lm = gaussian_log_moments(80)
+    lm = gaussian_log_moments()
     assert lm.e_log1p_g2_w2 == pytest.approx(E_LOG_CHI2_2, abs=1e-6)
     assert lm.e_log1p_g2 == pytest.approx(_e_log1p_g2_quad(), abs=1e-7)
     assert 0.0 < lm.e_log1p_g2 < lm.e_log1p_g2_w2
 
 
 def test_log_moment_identity_with_expected_f():
-    lm = gaussian_log_moments(80)
+    lm = gaussian_log_moments()
     assert expected_f(1.0, 80) == pytest.approx(lm.e_log1p_g2_w2 - 2.0 * lm.e_log1p_g2, abs=1e-12)
 
 

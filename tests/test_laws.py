@@ -11,6 +11,7 @@ from lyapunov_lab.laws import (
     ROW_STRIDE,
     CoefficientLaw,
     RngStream,
+    _uniforms,
     draws,
     law_from_name,
     sample_row,
@@ -31,8 +32,8 @@ def test_jensen_holds_for_both_laws():
 def test_law_from_name():
     assert list(CoefficientLaw) == [BERNOULLI, GAUSSIAN]
     for law in CoefficientLaw:
-        assert law_from_name(law.name) is law
-    assert (BERNOULLI.name, GAUSSIAN.name) == ("bernoulli", "gaussian")
+        assert law_from_name(law.value) is law
+    assert (BERNOULLI.value, GAUSSIAN.value) == ("bernoulli", "gaussian")
     with pytest.raises(ValueError, match="unknown law 'cauchy'"):
         law_from_name("cauchy")
 
@@ -72,15 +73,21 @@ def test_sample_row_advances_counter_by_its_length():
             assert rng.counter == before + k
 
 
+def _at(seed: int, stream: int, counter: int) -> RngStream:
+    rng = RngStream(seed, stream)
+    rng.seek(counter)
+    return rng
+
+
 def test_identical_coordinates_identical_draw():
-    a = sample_row(GAUSSIAN, RngStream(99, 5, counter=1234), 1)
-    b = sample_row(GAUSSIAN, RngStream(99, 5, counter=1234), 1)
+    a = sample_row(GAUSSIAN, _at(99, 5, 1234), 1)
+    b = sample_row(GAUSSIAN, _at(99, 5, 1234), 1)
     assert a == b
 
 
 def test_mid_stream_reconstruction():
     whole = RngStream(7, 3).words(64)
-    tail = RngStream(7, 3, counter=17).words(47)
+    tail = _at(7, 3, 17).words(47)
     assert np.array_equal(whole[17:], tail)
 
 
@@ -88,7 +95,7 @@ def test_seek_and_seek_row():
     r = RngStream(7, 3)
     r.seek(29)
     jumped = r.words(8)
-    assert np.array_equal(jumped, RngStream(7, 3, counter=29).words(8))
+    assert np.array_equal(jumped, _at(7, 3, 29).words(8))
     r2 = RngStream(7, 3)
     r2.seek_row(5)
     assert r2.counter == 5 * ROW_STRIDE
@@ -123,6 +130,24 @@ def test_uniforms_in_open_interval():
     assert u.min() > 0.0 and u.max() < 1.0
 
 
+def test_extreme_words_give_finite_draws():
+    # the top 53 bits m = 2^53 - 1 would round m 2^-53 + 2^-54 up to 1.0, whose
+    # inverse normal CDF is +inf; m = 0 gives the smallest uniform, 2^-54
+    w = np.array([(2**53 - 1) << 11, ((2**53 - 1) << 11) | 0x7FF, 0, 0x7FF], dtype=np.uint64)
+    u = _uniforms(w)
+    assert u.tolist() == [1.0 - 2.0**-53] * 2 + [2.0**-54] * 2
+    normals = draws(GAUSSIAN, w)
+    assert np.all(np.isfinite(normals)) and normals[0] > 8.0 and normals[2] < -8.0
+
+
+def test_uniform_clamp_moves_no_other_word():
+    m = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 3, 2**53 - 2], dtype=np.uint64)
+    w = np.concatenate([m << np.uint64(11), RngStream(9, 1).words(10_000)])
+    unclamped = (w >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    assert np.array_equal(_uniforms(w), unclamped) and unclamped.max() < 1.0
+    assert _uniforms(np.array([2**52 << 11], dtype=np.uint64))[0] == 0.5  # so a vt divisor can be exactly 0
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     stream=st.integers(min_value=0, max_value=2**64 - 1),
@@ -130,8 +155,8 @@ def test_uniforms_in_open_interval():
 )
 @settings(max_examples=50, deadline=None)
 def test_words_pure_function_of_coordinates(seed, stream, counter):
-    a = RngStream(seed, stream, counter).words(5)
-    b = RngStream(seed, stream, counter).words(5)
+    a = _at(seed, stream, counter).words(5)
+    b = _at(seed, stream, counter).words(5)
     assert np.array_equal(a, b)
 
 
@@ -141,14 +166,14 @@ def test_invalid_stream_parameters():
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
     with pytest.raises(ValueError):
-        RngStream(0, 0, -3)
+        RngStream(0).seek(-3)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2**63 + 5])
 @pytest.mark.parametrize("first", [0, 1, 2**34 - 2])
 def test_rows_match_seek_row_and_words(seed, stream, first):
-    rng = RngStream(seed, stream, counter=17)
+    rng = _at(seed, stream, 17)
     for k in (1, 2, 3, 4, 5, 130):
         got = rng.rows(first, 2, k)
         assert got.shape == (2, k) and got.dtype == np.uint64
@@ -188,7 +213,7 @@ def test_words_match_philox_advance_at_wide_counters():
 
     # block positions past the counter's low 64-bit limb, and back down again
     for block in (5, 2**64 - 1, 2**64 + 3, 2**130 + 7, 12):
-        rng = RngStream(8, 2, counter=block * 4 + 1)
+        rng = _at(8, 2, block * 4 + 1)
         ref = Philox(key=np.array([8, 2], dtype=np.uint64))
         ref.advance(block)
         assert np.array_equal(rng.words(9), ref.random_raw(12)[1:10])

@@ -42,3 +42,17 @@ def test_probe_call_shapes_bind():
     inspect.signature(gaussian.eta).bind(80, 201)
     inspect.signature(bounds.alpha_bound).bind(1.0, 1.0)
     inspect.signature(verification.tail_statistics).bind(BERNOULLI, 1000, 16, 1, threads=2)
+    # the positional calls of probes.py and rounds.py; `rng`, `incs` and
+    # `series` stand for the stream and arrays they pass
+    rng, incs, series = laws.RngStream(1, 7), [0.1, 0.2], [0.0, 0.1, 0.3]
+    inspect.signature(laws.RngStream).bind(1, 7)
+    inspect.signature(rng.seek_row).bind(5)
+    inspect.signature(rng.normals).bind(100_001)
+    inspect.signature(laws.sample_row).bind(BERNOULLI, rng, 128)
+    inspect.signature(chain.run_chain).bind(BERNOULLI, 2000, rng)
+    for run in (recursion.run_exact, recursion.run_vt, recursion.run_fibonacci):
+        inspect.signature(run).bind(1500, rng)
+    inspect.signature(gaussian.couple).bind(5000, rng)
+    inspect.signature(bounds.lo_max_atom).bind([1, 2, 3])
+    inspect.signature(estimators.gamma_from_increments).bind(incs)
+    inspect.signature(estimators.gamma_from_last_coordinate).bind(series)

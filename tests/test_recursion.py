@@ -19,7 +19,7 @@ from lyapunov_lab.recursion import (
     run_vt,
 )
 from lyapunov_lab.util import log_abs_bigint
-from lyapunov_lab.verification import GAMMA_FIB_ORACLE
+from lyapunov_lab.verification import GAMMA_FIB_ORACLE, _signed_sums
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -34,23 +34,13 @@ def _scripted_rows(mp, signs):
     mp.setattr(recursion, "sample_row", lambda law, rng, k: take(1, k)[0])
     mp.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: take(count, k))
 
-def test_all_plus_doubles():
+def test_all_plus_doubles(monkeypatch):
     # x[k+1] = +-S_k: all plus doubles the running sum, all minus cancels it
     for n in (1, 2, 10, 300):
-        assert run_exact(n, RngStream(0), sign_override=1).values == [1] + [2 ** max(k - 1, 0) for k in range(1, n + 1)]
-        assert run_exact(n, RngStream(0), sign_override=-1).values == [1, -1] + [0] * (n - 1)
-
-
-def _exact_term_by_term(n: int, rng: RngStream) -> list[int]:
-    # reference: the signed sum of the recursion, one term at a time
-    values = [1]
-    for k in range(n):
-        row = recursion._sign_row(rng, k, k + 1)
-        total = 0
-        for s, x in zip(row, reversed(values)):
-            total += x if s > 0 else -x
-        values.append(total)
-    return values
+        _scripted_rows(monkeypatch, itertools.repeat(1))
+        assert run_exact(n, RngStream(0)).values == [1] + [2 ** max(k - 1, 0) for k in range(1, n + 1)]
+        _scripted_rows(monkeypatch, itertools.repeat(-1))
+        assert run_exact(n, RngStream(0)).values == [1, -1] + [0] * (n - 1)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +51,8 @@ def _exact_term_by_term(n: int, rng: RngStream) -> list[int]:
     ],
 )
 def test_exact_matches_term_by_term_signed_sum(seed, stream, n):
-    assert run_exact(n, RngStream(seed, stream)).values == _exact_term_by_term(n, RngStream(seed, stream))
+    # the oracle of exact_determinism: the signed sum of the recursion, one term at a time
+    assert run_exact(n, RngStream(seed, stream)).values == _signed_sums(n, RngStream(seed, stream))
 
 
 def test_first_step_is_a_sign():
@@ -271,5 +262,3 @@ def test_preconditions():
         run_fibonacci(FIB_STEP_CAP + 1, RngStream(0))
     with pytest.raises(ValueError):
         run_vt(0, RngStream(0))
-    with pytest.raises(ValueError):
-        run_exact(3, RngStream(0), sign_override=2)
