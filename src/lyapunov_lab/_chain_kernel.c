@@ -9,8 +9,10 @@
  * -ffp-contract=off so that no product and sum fuse into one rounding.
  *
  * z holds the state newest first in z[front .. front+k-1] of a buffer of
- * cap entries; a step prepends at front - 1. The run resumes from the
- * state in ist = {t, front, k, tail_len} and dst = {log_norm, comp,
+ * cap entries; a step prepends at front - 1. The caller decides the
+ * bookkeeping: the weighted norm is stored after every stride-th step,
+ * and |z| is summed into tail after every step past half. The run resumes
+ * from the state in ist = {t, front, k, tail_len} and dst = {log_norm,
  * dropped} and returns the step it stopped at: n, or an earlier step when
  * the buffer must grow, after which the caller moves the block into a
  * larger buffer and calls again.
@@ -57,12 +59,12 @@ static void divide(double *v, int64_t k, double d)
         v[i] /= d;
 }
 
-int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, double tol,
+int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, int64_t half, double tol,
                   const double *weights, int64_t stride, double *z, double *tail, int64_t cap,
                   double *increments, double *norms, int64_t *ist, double *dst)
 {
     int64_t t = ist[0], front = ist[1], k = ist[2], tail_len = ist[3];
-    double log_norm = dst[0], comp = dst[1], dropped = dst[2];
+    double log_norm = dst[0], dropped = dst[1];
     for (; t < n; t++) {
         if (front == 0) {  /* move the live block to the end, or stop for a larger buffer */
             if (2 * (k + 1) > cap)
@@ -82,9 +84,7 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, dou
         }
         double inc = 0.5 * log1p(g * g);
         increments[t] = inc;
-        double sum = log_norm + inc;  /* util.neumaier_add */
-        comp += fabs(log_norm) >= fabs(inc) ? (log_norm - sum) + inc : (inc - sum) + log_norm;
-        log_norm = sum;
+        log_norm += inc;
 
         double *u = z + --front;
         u[0] = g;
@@ -110,7 +110,7 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, dou
         int64_t step = t + 1;
         if (step % stride == 0)
             norms[step / stride - 1] = sqrt(sum_squares(u, k, weights));
-        if (step > n / 2) {
+        if (step > half) {
             if (k > tail_len)
                 tail_len = k;
             for (int64_t i = 0; i < k; i++)
@@ -118,6 +118,6 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, dou
         }
     }
     ist[0] = t, ist[1] = front, ist[2] = k, ist[3] = tail_len;
-    dst[0] = log_norm, dst[1] = comp, dst[2] = dropped;
+    dst[0] = log_norm, dst[1] = dropped;
     return t;
 }

@@ -32,7 +32,6 @@ import numpy as np
 from .bounds import alpha_bound
 from .errors import TruncationBudgetError
 from .laws import GAUSSIAN, CoefficientLaw, RngStream, sample_row
-from .util import neumaier_add
 
 __all__ = [
     "ChainRun",
@@ -54,8 +53,8 @@ CHAIN_STEP_CAP = 10**8  # the increments hold 8 bytes a step: 800 MB at the cap
 class ChainRun:
     """Everything a chain run produces for the estimators and tail checks.
 
-    coords is the final unit state, newest first; log_norm_comp is the
-    compensation term of the Neumaier summation of log_norm.
+    coords is the final unit state, newest first; log_norm is the sum of
+    the increments, added left to right from 0.0.
     """
 
     increments: np.ndarray
@@ -64,7 +63,6 @@ class ChainRun:
     tail_means: np.ndarray
     coords: np.ndarray
     log_norm: float
-    log_norm_comp: float
     dropped_mass: float
 
 
@@ -148,11 +146,6 @@ def _check_run(law: CoefficientLaw, n: int, c: float, trunc_tol: float) -> float
     return trunc_tol * n
 
 
-def _check_budget(dropped: float, budget: float) -> None:
-    if dropped > budget:
-        raise TruncationBudgetError(f"dropped l2 mass {dropped:.3e} exceeds budget {budget:.3e}")
-
-
 def run_chain(
     law: CoefficientLaw,
     n: int,
@@ -171,58 +164,61 @@ def run_chain(
     The compiled kernel runs the trajectory when it can be built (see
     chain_engine), the reference loop _run_reference otherwise; both give
     the same numbers bit for bit. The rows are read by counter, and where
-    rng is left afterwards depends on the engine.
+    rng is left afterwards depends on the engine. The engines only step:
+    the checkpoint stride, the tail window and the ChainRun are decided here.
     """
     budget = _check_run(law, n, c, trunc_tol)
+    stride = max(1, n // 100)
+    half = n // 2  # the tail sums cover steps half+1 .. n
     kernel = _kernel()
     if kernel is None:
-        run = _run_reference(law, n, rng, c, trunc_tol)
+        parts = _run_reference(law, n, rng, c, trunc_tol, stride, half)
     else:
-        run = _run_compiled(kernel, law, n, rng, c, trunc_tol)
-    _check_budget(run.dropped_mass, budget)
-    return run
+        parts = _run_compiled(kernel, law, n, rng, c, trunc_tol, stride, half)
+    increments, norms, tail_sums, coords, log_norm, dropped = parts
+    if dropped > budget:
+        raise TruncationBudgetError(f"dropped l2 mass {dropped:.3e} exceeds budget {budget:.3e}")
+    return ChainRun(
+        increments=increments,
+        checkpoint_steps=stride * np.arange(1, n // stride + 1, dtype=np.int64),
+        # math.log, not np.log, which may round differently
+        weighted_offsets=np.array([math.log(x) for x in norms.tolist()]),
+        tail_means=tail_sums / (n - half),
+        coords=coords,
+        log_norm=log_norm,
+        dropped_mass=dropped,
+    )
 
 
-def _run_reference(law: CoefficientLaw, n: int, rng: RngStream, c: float, trunc_tol: float) -> ChainRun:
-    """run_chain in Python, one _step after another; the compiled kernel must match it bit for bit."""
+# what an engine returns: increments, the weighted norm at every stride-th
+# step, the per-index sums of |z_i| over steps half+1 .. n (as long as the
+# longest state among them), the final coords, log_norm and the dropped mass
+_Parts = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]
+
+
+def _run_reference(
+    law: CoefficientLaw, n: int, rng: RngStream, c: float, trunc_tol: float, stride: int, half: int
+) -> _Parts:
+    """The trajectory in Python, one _step after another; the compiled kernel must match it bit for bit."""
     coords = np.array([1.0])
     log_norm = 0.0
-    comp = 0.0
     dropped_total = 0.0
     increments = np.empty(n)
-
-    stride = max(1, n // 100)
-    ckpt_steps: list[int] = []
-    offsets: list[float] = []
-    half = n // 2
-    tail_acc = np.zeros(0)
-    tail_count = 0
-
+    norms = np.empty(n // stride)
+    tail = np.zeros(0)
     for t in range(n):
         coords, inc, dropped = _step(coords, law, rng, t, trunc_tol)
-        log_norm, comp = neumaier_add(log_norm, comp, inc)
+        log_norm += inc
         dropped_total += dropped
         increments[t] = inc
         step = t + 1
         if step % stride == 0:
-            ckpt_steps.append(step)
-            offsets.append(math.log(weighted_norm(coords, c)))
+            norms[step // stride - 1] = weighted_norm(coords, c)
         if step > half:
-            if coords.size > tail_acc.size:
-                tail_acc = np.concatenate([tail_acc, np.zeros(coords.size - tail_acc.size)])
-            tail_acc[: coords.size] += np.abs(coords)
-            tail_count += 1
-
-    return ChainRun(
-        increments=increments,
-        checkpoint_steps=np.array(ckpt_steps, dtype=np.int64),
-        weighted_offsets=np.array(offsets),
-        tail_means=tail_acc / max(tail_count, 1),
-        coords=coords,
-        log_norm=log_norm,
-        log_norm_comp=comp,
-        dropped_mass=dropped_total,
-    )
+            if coords.size > tail.size:
+                tail = np.concatenate([tail, np.zeros(coords.size - tail.size)])
+            tail[: coords.size] += np.abs(coords)
+    return increments, norms, tail, coords, log_norm, dropped_total
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def _kernel() -> Optional[tuple[Callable[..., int], int]]:
         return None
     fn.restype = ctypes.c_int64
     fn.argtypes = (
-        [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+        [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double]
         + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
         + [ctypes.c_void_p] * 4
     )
@@ -320,10 +316,11 @@ def _run_compiled(
     rng: RngStream,
     c: float,
     trunc_tol: float,
-) -> ChainRun:
-    """run_chain through the kernel; the buffer doubles whenever the live support fills half of it."""
+    stride: int,
+    half: int,
+) -> _Parts:
+    """The trajectory through the kernel; the buffer doubles whenever the live support fills half of it."""
     fn, ndtri = kernel
-    stride = max(1, n // 100)
     increments = np.empty(n)
     norms = np.empty(n // stride)
     cap = _KERNEL_ROWS
@@ -331,13 +328,13 @@ def _run_compiled(
     z[-1] = 1.0
     tail = np.zeros(cap)
     ist = np.array([0, cap - 1, 1, 0], dtype=np.int64)  # step, front, support, tail length
-    dst = np.zeros(3)  # log norm, its compensation, dropped mass
+    dst = np.zeros(2)  # log norm, dropped mass
     while True:
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
         weights = np.exp(c * np.arange(cap))
         done = fn(
             rng.seed, rng.stream_id, ndtri if law is GAUSSIAN else None,
-            n, trunc_tol, weights.ctypes.data, stride,
+            n, half, trunc_tol, weights.ctypes.data, stride,
             z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
             ist.ctypes.data, dst.ctypes.data,
         )  # fmt: skip
@@ -350,15 +347,5 @@ def _run_compiled(
         ist[1] = cap - k
 
     _, front, k, tail_len = ist.tolist()
-    log_norm, comp, dropped = dst.tolist()
-    return ChainRun(
-        increments=increments,
-        checkpoint_steps=np.arange(1, n // stride + 1, dtype=np.int64) * stride,
-        # math.log, as the reference takes it: np.log may round differently
-        weighted_offsets=np.array([math.log(x) for x in norms.tolist()]),
-        tail_means=tail[:tail_len] / (n - n // 2),
-        coords=z[front : front + k].copy(),
-        log_norm=log_norm,
-        log_norm_comp=comp,
-        dropped_mass=dropped,
-    )
+    log_norm, dropped = dst.tolist()
+    return increments, norms, tail[:tail_len], z[front : front + k].copy(), log_norm, dropped

@@ -26,16 +26,6 @@ def log_abs_bigint(x: int) -> float:
     return math.log(ax >> shift) + shift * math.log(2.0)
 
 
-def neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    """One step of compensated summation: returns updated (total, comp)."""
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
-
-
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """fn applied to each item, in input order."""
     # benchmark v2 deletes this: perfbench/tracing.py times it under cli and verification

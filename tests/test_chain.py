@@ -145,12 +145,14 @@ def _assert_same_run(a, b):
     # bytes, not values: a -0.0 where the reference has 0.0 would print otherwise
     assert a.coords.tobytes() == b.coords.tobytes()
     assert a.log_norm == b.log_norm
-    assert a.log_norm_comp == b.log_norm_comp
     assert a.dropped_mass == b.dropped_mass
 
 
 def _reference(law, n, rng, c=0.0, trunc_tol=DEFAULT_TRUNC_TOL):
-    return chain._run_reference(law, n, rng, c, trunc_tol)
+    """run_chain through the reference loop, as it runs where no compiler is found."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_kernel", lambda: None)
+        return run_chain(law, n, rng, c, trunc_tol)
 
 
 @pytest.fixture
@@ -202,6 +204,61 @@ def test_run_chain_matches_when_the_buffer_grows(compiled, monkeypatch):
         for stream in range(40, 44):
             run = run_chain(GAUSSIAN, 600, RngStream(9, stream), c)
             _assert_same_run(run, _reference(GAUSSIAN, 600, RngStream(9, stream), c))
+
+
+def _oracle(law, n, rng, c):
+    """run_chain's bookkeeping written out step by step: (checkpoints, offsets, tail means, log norm).
+
+    A checkpoint after every max(1, n // 100)-th step, tail sums over
+    steps n // 2 + 1 .. n divided by their count, and log_norm summed left
+    to right from 0.0; at odd n the tail window is n - n // 2 steps long.
+    """
+    coords = E0
+    stride = max(1, n // 100)
+    steps, offsets, tail, count, log_norm = [], [], np.zeros(0), 0, 0.0
+    for t in range(n):
+        coords, inc, _ = chain._step(coords, law, rng, t, DEFAULT_TRUNC_TOL)
+        log_norm += inc
+        if (t + 1) % stride == 0:
+            steps.append(t + 1)
+            offsets.append(math.log(weighted_norm(coords, c)))
+        if t + 1 > n // 2:
+            if coords.size > tail.size:
+                tail = np.concatenate([tail, np.zeros(coords.size - tail.size)])
+            tail[: coords.size] += np.abs(coords)
+            count += 1
+    return np.array(steps), np.array(offsets), tail / count, log_norm
+
+
+def _run_on(engine, request, law, n, rng, c=0.0):
+    """run_chain on the compiled kernel or on the reference loop."""
+    if engine == "python":
+        return _reference(law, n, rng, c)
+    request.getfixturevalue("compiled")
+    return run_chain(law, n, rng, c)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+@pytest.mark.parametrize("n", [1001, 2501])
+@pytest.mark.parametrize("c", [0.0, 0.005])
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_run_chain_bookkeeping_matches_a_step_by_step_oracle(request, engine, law, c, n):
+    # n is odd and not a multiple of 100, so a stride, a checkpoint count
+    # or a tail divisor taken from the wrong half shows
+    run = _run_on(engine, request, law, n, RngStream(21, 3), c)
+    steps, offsets, tail_means, log_norm = _oracle(law, n, RngStream(21, 3), c)
+    assert np.array_equal(run.checkpoint_steps, steps)
+    assert np.array_equal(run.weighted_offsets, offsets)
+    assert np.array_equal(run.tail_means, tail_means)
+    assert run.log_norm == log_norm
+
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_log_norm_is_the_left_to_right_sum_of_the_increments(request, engine, law):
+    for stream in range(3):
+        run = _run_on(engine, request, law, 5000, RngStream(13, stream))
+        assert run.log_norm == float(np.add.accumulate(run.increments)[-1])
 
 
 def test_run_chain_checks_the_truncation_budget(monkeypatch):
