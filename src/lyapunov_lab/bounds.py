@@ -48,7 +48,9 @@ def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0
     The derivative of a(s-a)^2/(1+a) factors as (s-a)(s-3a-2a^2)/(1+a)^2,
     so on (0, s) the maximizer is the positive root of 2a^2 + 3a = s,
     a* = (-3 + sqrt(9+8s))/4, evaluated as 2s/(3 + sqrt(9+8s)) to avoid
-    cancellation when s is small.
+    cancellation when s is small. alpha bounds a mean of positive values,
+    so a factor that leaves alpha <= 0 is rejected; every factor >= 1
+    gives alpha > 0, since D >= s^2.
     """
     # each test is negated so that NaN fails it
     if not 0.0 < sigma2 < math.inf:
@@ -59,8 +61,11 @@ def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0
         raise ValueError("zeta_sq_factor must be positive and finite")
     a_star = 2.0 * sigma2 / (3.0 + math.sqrt(9.0 + 8.0 * sigma2))
     f_star = a_star * (sigma2 - a_star) ** 2 / (zeta_sq_factor * fourth_moment * (1.0 + a_star))
+    alpha = 1.0 - f_star
+    if not alpha > 0.0:
+        raise ValueError(f"zeta_sq_factor={zeta_sq_factor!r} gives alpha={alpha!r}, but alpha must be > 0")
     return AlphaResult(
-        alpha=1.0 - f_star,
+        alpha=alpha,
         argmax_a=a_star,
         sigma2=sigma2,
         fourth_moment=fourth_moment,

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,38 +30,16 @@ from .errors import DegenerateDivisorError, TruncationBudgetError
 from .laws import RngStream, law_from_name
 from .util import ordered_map
 
-__all__ = ["RunManifest", "dispatch", "main"]
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every run's data files."""
-
-    command: str
-    parameters: dict
-    seed: int
-    artifact_version: str
-    started_at: Optional[str]
-    finished_at: Optional[str]
-    results: dict
-
-
-def _fmt17(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+__all__ = ["dispatch", "main"]
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Floats (np.float64 is one) as %.17g; csv.writer writes every other cell as str(v)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt17(v) for v in row])
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def _now(enabled: bool) -> Optional[str]:
@@ -473,17 +451,17 @@ def dispatch(argv: Sequence[str]) -> int:
                 for k, v in vars(args).items()
                 if k not in ("func", "out", "config", "no_timestamps", "command")
             }
-            manifest = RunManifest(
-                command=args.command,
-                parameters=params,
-                seed=args.seed,
-                artifact_version=__version__,
-                started_at=started,
-                finished_at=_now(not args.no_timestamps),
-                results=results,
-            )
+            manifest = {
+                "command": args.command,
+                "parameters": params,
+                "seed": args.seed,
+                "artifact_version": __version__,
+                "started_at": started,
+                "finished_at": _now(not args.no_timestamps),
+                "results": results,
+            }
             with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-                json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
+                json.dump(manifest, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)

@@ -77,7 +77,9 @@ value at every rho."""
 def contraction_f(rho: float, g, w):
     """log of the one-step misalignment ratio, F(rho, g, w).
 
-    g and w may be scalars or arrays. The misaligned component is written
+    g and w are floats, which give a float, or arrays, which give an array;
+    both run the same np.log1p loop, so a float call equals the array call
+    on the same values bit for bit. The misaligned component is written
     as ((1-rho)g - aw)/a, which keeps the first log argument nonnegative
     pointwise; flipping the sign of w changes nothing in distribution,
     since w is symmetric. At rho = 1 the formula is the analytic limit
@@ -85,8 +87,6 @@ def contraction_f(rho: float, g, w):
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
     a2 = 1.0 - rho * rho
     if a2 < _LIMIT_A2:
         out = np.log1p(g * g + w * w) - 2.0 * np.log1p(g * g)
@@ -95,9 +95,7 @@ def contraction_f(rho: float, g, w):
         gt = rho * g + a * w
         b = ((1.0 - rho) * g - a * w) / a
         out = np.log1p(b * b + 2.0 * g * gt / (1.0 + rho)) - np.log1p(g * g) - np.log1p(gt * gt)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @lru_cache(maxsize=8)

@@ -69,6 +69,10 @@ def test_alpha_domain_errors():
     for args in ((math.nan, 1.0), (1.0, math.nan), (1.0, 1.0, math.nan), (math.inf, math.inf), (1.0, 1.0, math.inf)):
         with pytest.raises(ValueError):
             alpha_bound(*args)
+    # a factor small enough to push alpha to <= 0 (here -112.4, then -inf) bounds no mean of positive values
+    for factor in (1e-3, 1e-320):
+        with pytest.raises(ValueError, match="zeta_sq_factor"):
+            alpha_bound(1.0, 1.0, factor)
 
 
 def test_mc_delta_vector_is_constant():

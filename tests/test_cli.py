@@ -89,6 +89,18 @@ def test_simulate_exact_csv_roundtrip(tmp_path, capsys):
         assert parsed == expected
 
 
+def test_csv_cells_are_written_exactly(tmp_path):
+    # floats with 17 significant digits; int, bool and str cells (numpy's too) as str(v)
+    row = ["mean <= alpha + 3 se, all", "", True, np.bool_(False), 7, np.int64(1500), 0.1,
+           np.float64(-np.inf), float("nan"), -0.0, 5e-324, 1e300, np.float64(0.28275)]  # fmt: skip
+    path = tmp_path / "cells.csv"
+    cli._write_csv(str(path), ("a", "b"), [row])
+    assert path.read_text() == (
+        'a,b\n"mean <= alpha + 3 se, all",,True,False,7,1500,0.10000000000000001,-inf,nan,-0,'
+        "4.9406564584124654e-324,1.0000000000000001e+300,0.28275\n"
+    )
+
+
 def test_simulate_chain_outputs(tmp_path, capsys):
     out_dir = tmp_path / "chain"
     code, _ = _run(
@@ -281,6 +293,8 @@ def test_module_entry_points():
         (["alpha", "--sigma2", "1", "--fourth-moment", "inf"], "argument --fourth-moment: 'inf'"),
         (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "nan"], "--zeta-sq-factor: 'nan'"),
         (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "inf"], "--zeta-sq-factor: 'inf'"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "0.001"], "zeta_sq_factor=0.001"),
+        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "1e-320"], "zeta_sq_factor=1e-320"),
         (["alpha", "--sigma2", "one", "--fourth-moment", "1"], "argument --sigma2: 'one' is not a number"),
         (["couple", "--n", "10", "--rho0", "inf"], "argument --rho0: 'inf' is not a finite"),
         # a flag its model never reads, set off its default

@@ -19,7 +19,7 @@ from lyapunov_lab.gaussian import (
     expected_f,
     gaussian_log_moments,
 )
-from lyapunov_lab.laws import ROW_CHUNK, RngStream
+from lyapunov_lab.laws import GAUSSIAN, ROW_CHUNK, RngStream, sample_rows
 
 E_LOG_CHI2_2 = math.exp(0.5) * float(exp1(0.5))  # E log(1 + g^2 + w^2)
 
@@ -63,6 +63,18 @@ def test_f_at_rho_zero():
     # a = 1, misaligned term (g - w), cross term 2gw: argument is 1+g^2+w^2
     expected = math.log(3.0) - 2.0 * math.log(2.0)
     assert contraction_f(0.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, math.sqrt(1.0 - 1.1e-12), 1.0 - 1e-13, 1.0])
+def test_f_on_floats_equals_f_on_length_one_arrays(rho):
+    # the two middle rhos sit on either side of the switch to the limit form at a^2 < 1e-12;
+    # floats and arrays run the same np.log1p loop, so a scalar formula that rounds
+    # differently would show here
+    for g, w in sample_rows(GAUSSIAN, RngStream(15, 0), 0, 1000, 2).tolist():
+        val = contraction_f(rho, g, w)
+        assert type(val) is float
+        arr = contraction_f(rho, np.array([g]), np.array([w]))
+        assert val.hex() == float(arr[0]).hex()
 
 
 @given(
