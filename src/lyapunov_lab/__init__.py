@@ -12,7 +12,6 @@ from .bounds import AlphaResult, LoResult, alpha_bound, lo_max_atom, verify_alph
 from .chain import ChainRun, run_chain, weighted_norm
 from .estimators import (
     GrowthEstimate,
-    Method,
     RateComparison,
     compare_rates,
     gamma_from_increments,
@@ -34,7 +33,6 @@ __all__ = [
     "run_chain",
     "weighted_norm",
     "GrowthEstimate",
-    "Method",
     "RateComparison",
     "compare_rates",
     "gamma_from_increments",

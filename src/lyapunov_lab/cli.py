@@ -131,7 +131,7 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
         run = chain.run_chain(law_from_name(args.law), args.n, rng, c=args.c)
         est = estimators.gamma_from_increments(run.increments, args.batch_length)
         if args.c > 0.0:
-            return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]))
+            return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]), args.n)
         return est
     log_norms = recursion.log_norms(args.model, args.n, rng)
     return estimators.gamma_from_increments(np.diff(log_norms), args.batch_length)
@@ -155,8 +155,8 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
         "gamma_hat": est.gamma_hat,
         "stderr": est.stderr,
         "n": args.n,
-        "method": est.method.value,
-        "n_trajectories": est.n_trajectories,
+        "method": "weighted_norm" if args.c > 0.0 else "norm_increments",
+        "n_trajectories": args.trajectories,
         "law": args.law,
         "seed": args.seed,
     }

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Method",
     "GrowthEstimate",
     "RateComparison",
     "gamma_from_increments",
@@ -21,21 +19,12 @@ __all__ = [
 ]
 
 
-class Method(str, Enum):
-    NORM_INCREMENTS = "norm_increments"
-    LAST_COORDINATE = "last_coordinate"
-    WEIGHTED_NORM = "weighted_norm"
-
-
 @dataclass(frozen=True)
 class GrowthEstimate:
     """Estimated per-step exponent with its standard error."""
 
     gamma_hat: float
     stderr: float
-    n_steps: int
-    n_trajectories: int
-    method: Method
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ def gamma_from_increments(
     nb = n // batch_length
     batch_means = x[: nb * batch_length].reshape(nb, batch_length).mean(axis=1)
     stderr = float(np.std(batch_means, ddof=1) / math.sqrt(nb))
-    return GrowthEstimate(gamma, stderr, n, 1, Method.NORM_INCREMENTS)
+    return GrowthEstimate(gamma, stderr)
 
 
 def gamma_from_last_coordinate(log_series: np.ndarray) -> GrowthEstimate:
@@ -101,14 +90,12 @@ def gamma_from_last_coordinate(log_series: np.ndarray) -> GrowthEstimate:
     intercept = float(y.mean() - slope * k.mean())
     resid = y - (intercept + slope * k)
     stderr = math.sqrt(float(resid @ resid) / (m - 2) / skk)
-    return GrowthEstimate(slope, stderr, n, 1, Method.LAST_COORDINATE)
+    return GrowthEstimate(slope, stderr)
 
 
-def gamma_from_weighted_norm(est: GrowthEstimate, log_weighted_norm: float) -> GrowthEstimate:
-    """Rate of the weighted norm of one run: gamma_hat + log ||Z_n||_c / n, with the plain estimate's stderr."""
-    return GrowthEstimate(
-        est.gamma_hat + log_weighted_norm / est.n_steps, est.stderr, est.n_steps, 1, Method.WEIGHTED_NORM
-    )
+def gamma_from_weighted_norm(est: GrowthEstimate, log_weighted_norm: float, n: int) -> GrowthEstimate:
+    """Rate of the weighted norm of an n-step run: gamma_hat + log ||Z_n||_c / n, with est's stderr."""
+    return GrowthEstimate(est.gamma_hat + log_weighted_norm / n, est.stderr)
 
 
 def compare_rates(a: GrowthEstimate, b: GrowthEstimate) -> RateComparison:
@@ -134,18 +121,9 @@ def pool_estimates(estimates: Sequence[GrowthEstimate]) -> GrowthEstimate:
     """
     if not estimates:
         raise ValueError("need at least one estimate")
-    methods = {e.method for e in estimates}
-    if len(methods) > 1:
-        raise ValueError(f"cannot pool mixed methods {methods}")
     t = len(estimates)
     if t == 1:
         return estimates[0]
     gammas = np.array([e.gamma_hat for e in estimates])
     stderr = float(np.std(gammas, ddof=1) / math.sqrt(t))
-    return GrowthEstimate(
-        gamma_hat=float(gammas.mean()),
-        stderr=stderr,
-        n_steps=estimates[0].n_steps,
-        n_trajectories=sum(e.n_trajectories for e in estimates),
-        method=estimates[0].method,
-    )
+    return GrowthEstimate(float(gammas.mean()), stderr)

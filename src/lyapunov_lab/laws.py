@@ -8,6 +8,7 @@ run on separate streams without any shared state.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 import numpy as np
@@ -84,9 +85,9 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
 _S32 = np.uint64(32)
 _BLOCKS_PER_ROW = ROW_STRIDE // _BLOCK
+_ROWS = 1 << 34  # rows 0 .. 2^34 - 1: their blocks' counter values fit one 64-bit limb
 
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -144,65 +145,49 @@ class RngStream:
     (seed, stream_id, c). Exactly one 64-bit word is consumed per variate:
     signs use the word's top bit, uniforms the top 53 bits, and normals go
     through the inverse normal CDF of that uniform. A new stream starts at
-    counter 0; seek() is O(1), so per-step row addressing costs nothing
+    counter 0; seek_row() is O(1), so per-step row addressing costs nothing
     beyond a counter jump.
     """
 
-    __slots__ = ("seed", "stream_id", "counter", "_bg", "_bg_block", "_state")
+    __slots__ = ("seed", "stream_id", "counter", "_bg", "_state")
 
     def __init__(self, seed: int, stream_id: int = 0):
+        seed, stream_id = operator.index(seed), operator.index(stream_id)
         if not (0 <= seed < 1 << 64 and 0 <= stream_id < 1 << 64):
             raise ValueError("seed and stream_id must be unsigned 64-bit integers")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = seed
+        self.stream_id = stream_id
         self.counter = 0
-        self._bg = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        self._bg_block = 0
-        self._state = self._bg.state  # template for _jump; its buffer is empty
+        self._bg = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        self._state = self._bg.state  # template for words(); its buffer is empty
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
-    def seek(self, counter: int) -> None:
-        """Position the stream so the next word read is at `counter`."""
-        if counter < 0:
-            raise ValueError("counter must be nonnegative")
-        self.counter = int(counter)
-
     def seek_row(self, row: int) -> None:
-        """Position at the start of per-step row `row` (word row * ROW_STRIDE)."""
-        self.seek(row * ROW_STRIDE)
+        """Position at the start of per-step row `row` (word row * ROW_STRIDE), 0 <= row < 2^34."""
+        row = operator.index(row)
+        if not 0 <= row < _ROWS:
+            raise ValueError(f"row must lie in [0, 2^34), got {row}")
+        self.counter = row * ROW_STRIDE
 
     def words(self, k: int) -> np.ndarray:
-        """Next k raw 64-bit words; advances the counter by exactly k."""
+        """Next k raw 64-bit words; advances the counter by exactly k.
+
+        Every call jumps the generator to the counter's block. numpy's
+        Philox increments its counter before each block, so block b comes
+        from counter value b + 1, and the counter's low limb is set to b
+        (its high limbs stay 0). Setting the state costs about half of a
+        Philox.advance and goes back as easily as forward.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if k == 0:
-            return np.empty(0, dtype=np.uint64)
-        start_block, off = divmod(self.counter, _BLOCK)
-        nblocks = (off + k + _BLOCK - 1) // _BLOCK
-        if self._bg_block != start_block:
-            self._jump(start_block)
-        raw = self._bg.random_raw(nblocks * _BLOCK)
-        self._bg_block = start_block + nblocks
+        block, off = divmod(self.counter, _BLOCK)
+        self._state["state"]["counter"][0] = block
+        self._bg.state = self._state
+        raw = self._bg.random_raw((off + k + _BLOCK - 1) // _BLOCK * _BLOCK)
         self.counter += k
         return raw[off : off + k]
-
-    def _jump(self, block: int) -> None:
-        """Make `block` the next Philox block the generator emits.
-
-        numpy's Philox increments its counter before each block, so block b
-        comes from counter value b + 1, and the 256-bit counter is set to b
-        (mod 2^256, as Philox.advance wraps). Setting the state costs about
-        half of an advance and goes back as easily as forward.
-        """
-        state = self._state  # its counter's high limbs stay 0
-        if block >> 64:
-            limbs = [(block >> s) & _MASK64 for s in (0, 64, 128, 192)]
-            state = {**state, "state": {**state["state"], "counter": np.array(limbs, dtype=np.uint64)}}
-        else:
-            state["state"]["counter"][0] = block
-        self._bg.state = state
 
     def rows(self, first: int, count: int, k: int) -> np.ndarray:
         """The first k words of rows first .. first+count-1, shape (count, k).
@@ -225,10 +210,9 @@ class RngStream:
         """
         if first < 0 or count < 0 or k < 0:
             raise ValueError("first, count and k must be nonnegative")
+        if first + count > _ROWS:
+            raise ValueError(f"row {first + count - 1} is past the last row, 2^34 - 1")
         blocks = (k + _BLOCK - 1) // _BLOCK
-        last = first + count - 1
-        if count and blocks and last * _BLOCKS_PER_ROW + blocks >= 1 << 64:
-            raise ValueError(f"row {last} does not fit the 64-bit counter limb; rows end below 2^34")
         start = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_BLOCKS_PER_ROW)
         counter = (start[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)).ravel()
         raw = _philox4x64(counter, (self.seed, self.stream_id))

@@ -426,7 +426,7 @@ def check_theorem9_weighted(seed: int = DEFAULT_SEED) -> CheckResult:
         j, c = jc
         est, run = _chain_gamma(BERNOULLI, n, seed, 300 + j, c=c)
         offset = float(run.weighted_offsets[-1])
-        weighted = estimators.gamma_from_weighted_norm(est, offset)
+        weighted = estimators.gamma_from_weighted_norm(est, offset, n)
         return abs(offset) / n, estimators.compare_rates(est, weighted).verdict
 
     results = ordered_map(one, enumerate(cs))

@@ -143,6 +143,7 @@ def test_gamma_json_contract(capsys):
         assert key in payload
     assert payload["method"] == "norm_increments"
     assert payload["n"] == 5000
+    assert payload["n_trajectories"] == 1
 
 
 def test_gamma_vt_regression(capsys):
@@ -199,11 +200,12 @@ def test_simulate_zero_final_is_null(tmp_path, capsys):
 def test_gamma_chain_weighted_method(capsys):
     code, out = _run(
         capsys,
-        ["gamma", "--model", "chain", "--n", "2000", "--c", "0.01", "--seed", "2"],
+        ["gamma", "--model", "chain", "--n", "2000", "--c", "0.01", "--trajectories", "3", "--seed", "2"],
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "weighted_norm"
+    assert payload["n_trajectories"] == 3
     assert payload["gamma_hat"] > 0
 
 

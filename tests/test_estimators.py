@@ -8,10 +8,10 @@ import hypothesis.strategies as st
 from lyapunov_lab import recursion
 from lyapunov_lab.estimators import (
     GrowthEstimate,
-    Method,
     compare_rates,
     gamma_from_increments,
     gamma_from_last_coordinate,
+    gamma_from_weighted_norm,
     pool_estimates,
 )
 from lyapunov_lab.laws import RngStream
@@ -83,8 +83,6 @@ def test_rate_of_classical_fibonacci(monkeypatch):
     monkeypatch.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: np.ones((count, k)))
     est = gamma_from_increments(np.diff(recursion.log_norms("fib", 10_000, RngStream(0))))
     assert est.gamma_hat == pytest.approx(math.log(GOLDEN), abs=1e-4)
-    assert est.n_steps == 9_999
-    assert est.method is Method.NORM_INCREMENTS
 
 
 def test_exact_vs_increments_consistency_small():
@@ -116,46 +114,41 @@ def test_minus_inf_entries_excluded():
 
 
 def test_compare_rates_trivia():
-    e1 = GrowthEstimate(0.5, 0.01, 1000, 1, Method.NORM_INCREMENTS)
+    e1 = GrowthEstimate(0.5, 0.01)
     same = compare_rates(e1, e1)
     assert same.verdict and same.z_score == 0.0
-    e2 = GrowthEstimate(0.8, 0.01, 1000, 1, Method.LAST_COORDINATE)
+    e2 = GrowthEstimate(0.8, 0.01)
     apart = compare_rates(e1, e2)
     assert not apart.verdict
     assert abs(apart.z_score) > 20
 
 
+def test_weighted_norm_rate_adds_the_offset_over_n():
+    est = GrowthEstimate(0.25, 0.01)
+    assert gamma_from_weighted_norm(est, -2.0, 1000) == GrowthEstimate(0.25 - 2.0 / 1000, 0.01)
+
+
 def test_compare_rates_requires_finite():
-    e1 = GrowthEstimate(float("nan"), 0.01, 10, 1, Method.NORM_INCREMENTS)
-    e2 = GrowthEstimate(0.5, 0.01, 10, 1, Method.NORM_INCREMENTS)
+    e1 = GrowthEstimate(float("nan"), 0.01)
+    e2 = GrowthEstimate(0.5, 0.01)
     with pytest.raises(ValueError):
         compare_rates(e1, e2)
 
 
 def test_pool_estimates():
     ests = [
-        GrowthEstimate(0.30, 0.01, 100, 1, Method.NORM_INCREMENTS),
-        GrowthEstimate(0.32, 0.01, 100, 1, Method.NORM_INCREMENTS),
-        GrowthEstimate(0.31, 0.01, 100, 1, Method.NORM_INCREMENTS),
+        GrowthEstimate(0.30, 0.01),
+        GrowthEstimate(0.32, 0.01),
+        GrowthEstimate(0.31, 0.01),
     ]
     pooled = pool_estimates(ests)
     assert pooled.gamma_hat == pytest.approx(0.31, abs=1e-12)
-    assert pooled.n_trajectories == 3
     assert pooled.stderr == pytest.approx(np.std([0.30, 0.32, 0.31], ddof=1) / math.sqrt(3), rel=1e-12)
-
-
-def test_pool_rejects_mixed_methods():
-    ests = [
-        GrowthEstimate(0.30, 0.01, 100, 1, Method.NORM_INCREMENTS),
-        GrowthEstimate(0.32, 0.01, 100, 1, Method.LAST_COORDINATE),
-    ]
-    with pytest.raises(ValueError):
-        pool_estimates(ests)
 
 
 def test_pool_invariant_under_trajectory_permutation():
     ests = [
-        GrowthEstimate(g, 0.01, 100, 1, Method.NORM_INCREMENTS)
+        GrowthEstimate(g, 0.01)
         for g in (0.28, 0.34, 0.30, 0.29)
     ]
     a = pool_estimates(ests)

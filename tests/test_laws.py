@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from lyapunov_lab.laws import (
     sample_row,
     sample_rows,
 )
+from lyapunov_lab.recursion import run_exact
 
 
 def test_law_moments_exact():
@@ -73,38 +75,39 @@ def test_sample_row_advances_counter_by_its_length():
             assert rng.counter == before + k
 
 
-def _at(seed: int, stream: int, counter: int) -> RngStream:
+def _at(seed: int, stream: int, row: int, off: int) -> RngStream:
+    """A stream positioned at word `off` of row `row`."""
     rng = RngStream(seed, stream)
-    rng.seek(counter)
+    rng.seek_row(row)
+    rng.words(off)
     return rng
 
 
 def test_identical_coordinates_identical_draw():
-    a = sample_row(GAUSSIAN, _at(99, 5, 1234), 1)
-    b = sample_row(GAUSSIAN, _at(99, 5, 1234), 1)
+    a = sample_row(GAUSSIAN, _at(99, 5, 3, 1234), 1)
+    b = sample_row(GAUSSIAN, _at(99, 5, 3, 1234), 1)
     assert a == b
 
 
 def test_mid_stream_reconstruction():
     whole = RngStream(7, 3).words(64)
-    tail = _at(7, 3, 17).words(47)
+    tail = _at(7, 3, 0, 17).words(47)
     assert np.array_equal(whole[17:], tail)
 
 
-def test_seek_and_seek_row():
+def test_seek_row():
     r = RngStream(7, 3)
-    r.seek(29)
-    jumped = r.words(8)
-    assert np.array_equal(jumped, _at(7, 3, 29).words(8))
-    r2 = RngStream(7, 3)
-    r2.seek_row(5)
-    assert r2.counter == 5 * ROW_STRIDE
+    r.words(29)
+    r.seek_row(5)
+    assert r.counter == 5 * ROW_STRIDE
+    assert np.array_equal(r.words(8), _at(7, 3, 5, 0).words(8))
 
 
 def test_backward_seek():
     r = RngStream(11, 0)
+    r.seek_row(2)
     first = r.words(12).copy()
-    r.seek(0)
+    r.seek_row(2)
     assert np.array_equal(r.words(12), first)
 
 
@@ -151,12 +154,13 @@ def test_uniform_clamp_moves_no_other_word():
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     stream=st.integers(min_value=0, max_value=2**64 - 1),
-    counter=st.integers(min_value=0, max_value=2**40),
+    row=st.integers(min_value=0, max_value=2**34 - 1),
+    off=st.integers(min_value=0, max_value=64),
 )
 @settings(max_examples=50, deadline=None)
-def test_words_pure_function_of_coordinates(seed, stream, counter):
-    a = _at(seed, stream, counter).words(5)
-    b = _at(seed, stream, counter).words(5)
+def test_words_pure_function_of_coordinates(seed, stream, row, off):
+    a = _at(seed, stream, row, off).words(5)
+    b = _at(seed, stream, row, off).words(5)
     assert np.array_equal(a, b)
 
 
@@ -165,15 +169,68 @@ def test_invalid_stream_parameters():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
-    with pytest.raises(ValueError):
-        RngStream(0).seek(-3)
+    for row in (-1, 2**34):  # rows run from 0 to 2^34 - 1, as in rows()
+        with pytest.raises(ValueError):
+            RngStream(0).seek_row(row)
+    # non-integers are refused, not truncated
+    with pytest.raises(TypeError):
+        RngStream(7.9, 1)
+    with pytest.raises(TypeError):
+        RngStream(7, 1.5)
+    with pytest.raises(TypeError):
+        RngStream(0).seek_row(2.5)
+
+
+# Words of rows 0, 1 and 2^34 - 1 as literals, so that a change moving
+# words(), rows() and the chain kernel together still fails here.
+_PINNED_WORDS = {
+    (0, 0, 0): [
+        213000021201967259, 4455796210202625458, 2055444239878205049,
+        10411612076246414556, 9267267987884836803,
+    ],
+    (0, 0, 1): [
+        499922524873502308, 3842603498461521109, 12429712344940164910,
+        6773937627398711036, 3390191599376806495,
+    ],
+    (0, 0, 2**34 - 1): [
+        10391452580944758560, 15173420100519039972, 1531860029085141480,
+        16501188089623932632, 1695532369748038037,
+    ],
+    (2**64 - 1, 2**63 + 5, 0): [
+        319537823105053100, 12666818562362855042, 8837510668638714572,
+        750400251969646206, 12952406051412542523,
+    ],
+    (2**64 - 1, 2**63 + 5, 1): [
+        17060806127204926041, 6912116680023266932, 3308246816085493434,
+        10332647667652009372, 2461765651913611773,
+    ],
+    (2**64 - 1, 2**63 + 5, 2**34 - 1): [
+        18391930583064190635, 10939621779022127302, 14621448952883585406,
+        4524653913619313858, 7970875172550512164,
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, stream, row", list(_PINNED_WORDS))
+def test_row_words_are_pinned(seed, stream, row):
+    rng = RngStream(seed, stream)
+    rng.seek_row(row)
+    assert rng.words(5).tolist() == _PINNED_WORDS[seed, stream, row]
+    assert rng.rows(row, 1, 5)[0].tolist() == _PINNED_WORDS[seed, stream, row]
+
+
+def test_exact_run_is_pinned():
+    values = run_exact(300, RngStream(1_000_003, 800)).values
+    digest = hashlib.sha256("\n".join(str(v) for v in values).encode()).hexdigest()
+    assert digest == "b8434be445396b35815993e51b2f57cd472b4ff026146b04530f3bee8caccbe3"
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("stream", [0, 2**63 + 5])
 @pytest.mark.parametrize("first", [0, 1, 2**34 - 2])
 def test_rows_match_seek_row_and_words(seed, stream, first):
-    rng = _at(seed, stream, 17)
+    rng = RngStream(seed, stream)
+    rng.words(17)
     for k in (1, 2, 3, 4, 5, 130):
         got = rng.rows(first, 2, k)
         assert got.shape == (2, k) and got.dtype == np.uint64
@@ -208,12 +265,12 @@ def test_rows_empty_and_rejected():
             rng.rows(*args)
 
 
-def test_words_match_philox_advance_at_wide_counters():
+def test_words_match_philox_advance():
     from numpy.random import Philox
 
-    # block positions past the counter's low 64-bit limb, and back down again
-    for block in (5, 2**64 - 1, 2**64 + 3, 2**130 + 7, 12):
-        rng = _at(8, 2, block * 4 + 1)
+    # blocks 5 and 12 of row 0, and the first block of the last row, 2^64 - 2^30
+    for row, block in ((0, 5), (2**34 - 1, 2**64 - 2**30), (0, 12)):
+        rng = _at(8, 2, row, (block - row * 2**30) * 4 + 1)
         ref = Philox(key=np.array([8, 2], dtype=np.uint64))
         ref.advance(block)
         assert np.array_equal(rng.words(9), ref.random_raw(12)[1:10])
