@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
 Every subcommand prints a JSON (or per-check) summary to stdout and, when
-an output directory is given (--out or LYAPUNOV_LAB_OUT), writes exactly
-one manifest.json plus the data CSVs for the run. All CSV numbers carry 17
-significant digits so re-parsing round-trips exactly; rerunning a command
-with the same parameters and seed reproduces every emitted number bit for
-bit (--no-timestamps makes the whole directory byte-identical).
+--out names an output directory, writes exactly one manifest.json plus the
+data CSVs for the run. Parameters come from argv only. All CSV numbers
+carry 17 significant digits so re-parsing round-trips exactly; rerunning a
+command with the same parameters and seed reproduces every emitted number
+bit for bit (--no-timestamps makes the whole directory byte-identical).
 
 Exit codes: 0 success, 1 failed verification or aborted run, 2 usage or
 parameter error, 3 I/O error.
@@ -50,11 +50,6 @@ def _now(enabled: bool) -> Optional[str]:
 # subcommand handlers: each returns (results dict, {filename: (header, rows)})
 
 
-def _require_n(args) -> None:
-    if args.n is None:
-        raise ValueError("--n is required (on the command line or in the config file)")
-
-
 # the defaults of the flags that only the chain reads
 _CHAIN_FLAGS = {"c": 0.0, "trunc_tol": chain.DEFAULT_TRUNC_TOL}
 
@@ -84,7 +79,6 @@ def _finite_or_none(x) -> Optional[float]:
 
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
-    _require_n(args)
     _check_model(args)
     law = law_from_name(args.law)
     rng = RngStream(args.seed, args.stream_id)
@@ -138,7 +132,6 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
 
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
-    _require_n(args)
     _check_model(args)
     if args.trajectories < 1:
         raise ValueError(f"--trajectories must be >= 1, got {args.trajectories}")
@@ -175,7 +168,6 @@ def _cmd_eta(args) -> tuple[dict, dict]:
 
 
 def _cmd_couple(args) -> tuple[dict, dict]:
-    _require_n(args)
     trace = gaussian.couple(args.n, RngStream(args.seed, args.stream_id), args.rho0)
     results = {
         "mean_log_b": trace.mean_log_b,
@@ -291,8 +283,7 @@ _uint64 = _int_in(0, 1 << 64, "in [0, 2^64)")  # --seed and --stream-id
 
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
     p.add_argument("--seed", type=_uint64, default=seed_default, help="64-bit unsigned seed")
-    p.add_argument("--out", type=str, default=None, help="output directory (default: $LYAPUNOV_LAB_OUT)")
-    p.add_argument("--config", type=str, default=None, help="JSON file of parameter defaults; flags win")
+    p.add_argument("--out", type=str, default=None, help="output directory for the manifest and data CSVs")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")
 
 
@@ -306,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one trajectory of a model and dump its series")
     p.add_argument("--model", choices=["exact", "vt", "fib", "chain"], required=True)
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--stream-id", type=_uint64, default=0)
     p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"], help="weight exponent (chain model)")
     p.add_argument("--trunc-tol", type=_finite_float, default=_CHAIN_FLAGS["trunc_tol"])
@@ -316,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="estimate a growth exponent with a confidence interval")
     p.add_argument("--model", choices=["chain", "exact", "fib", "vt"], required=True)
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"])
     p.add_argument("--batch-length", type=_int_in(1, math.inf, ">= 1"), default=None)
@@ -335,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eta)
 
     p = sub.add_parser("couple", help="two-chain coupling trace")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho0", type=_finite_float, default=0.0)
     p.add_argument("--stream-id", type=_uint64, default=0)
     _add_common(p)
@@ -366,29 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
-    """The values of a JSON config file as command-line flags.
-
-    A key names a parameter ("stream_id" or "stream-id"); true sets a
-    switch such as no_timestamps; a string or number becomes the flag's
-    value and meets the same type and choice checks as one typed.
-    """
-    with open(path) as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError("config file must hold a JSON object of parameter values")
-    flags = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            flags.append(flag)
-        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            flags.append(f"{flag}={value}")
-        else:
-            raise ValueError(f"config value of {key!r} must be a string, a number or true, got {value!r}")
-    return flags
-
-
 def _join_coeffs(argv: list[str]) -> list[str]:
     """argv with `--coeffs -5,3` written as `--coeffs=-5,3`.
 
@@ -404,20 +372,9 @@ def _join_coeffs(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a --config file's flags go in before the command line's, so typed flags win."""
-    parser = build_parser()
-    argv = _join_coeffs(argv)
-    args = parser.parse_args(argv)
-    if args.config:
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
-    return args
-
-
 def dispatch(argv: Sequence[str]) -> int:
     try:
-        args = _parse(list(argv))
+        args = build_parser().parse_args(_join_coeffs(list(argv)))
         started = _now(not args.no_timestamps)
         results, files = args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error it has printed
@@ -440,16 +397,13 @@ def dispatch(argv: Sequence[str]) -> int:
             return 1
         print(summary)
 
-    out_dir = args.out or os.environ.get("LYAPUNOV_LAB_OUT")
-    if out_dir:
+    if args.out:
         try:
-            os.makedirs(out_dir, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
             for name, (header, rows) in files.items():
-                _write_csv(os.path.join(out_dir, name), header, rows)
+                _write_csv(os.path.join(args.out, name), header, rows)
             params = {
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("func", "out", "config", "no_timestamps", "command")
+                k: v for k, v in vars(args).items() if k not in ("func", "out", "no_timestamps", "command")
             }
             manifest = {
                 "command": args.command,
@@ -460,7 +414,7 @@ def dispatch(argv: Sequence[str]) -> int:
                 "finished_at": _now(not args.no_timestamps),
                 "results": results,
             }
-            with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+            with open(os.path.join(args.out, "manifest.json"), "w") as fh:
                 json.dump(manifest, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         except OSError as exc:

@@ -174,16 +174,17 @@ def check_vt_log4(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_fib_rate(seed: int = DEFAULT_SEED) -> CheckResult:
+    """The estimate `gamma --model fib` ships, within 3 batch-means se of the oracle."""
     n = 1_000_000
-    out = recursion.run_fibonacci(n, RngStream(seed, 10))
-    rate = float(out[-1]) / n
+    est = estimators.gamma_from_increments(np.diff(recursion.log_norms("fib", n, RngStream(seed, 10))))
+    z = (est.gamma_hat - GAMMA_FIB_ORACLE) / est.stderr
     return CheckResult(
         name="fib_rate_oracle",
         expected=f"{GAMMA_FIB_ORACLE:.7f}",
-        observed=f"{rate:.5f}",
-        tolerance="+-0.005",
-        passed=abs(rate - GAMMA_FIB_ORACLE) <= 0.005,
-        details=f"single run, n={n}",
+        observed=f"{est.gamma_hat:.7f}",
+        tolerance="3 se",
+        passed=abs(est.gamma_hat - GAMMA_FIB_ORACLE) <= 3.0 * est.stderr,
+        details=f"se={est.stderr:.2e}, z={z:.2f}, single run, n={n}",
     )
 
 

@@ -314,6 +314,13 @@ def test_module_entry_points():
         (["simulate", "--model", "exact", "--n", "10", "--stream-id", "-1"], "argument --stream-id: must be in"),
         (["couple", "--n", "10", "--stream-id", str(2**64)], "argument --stream-id: must be in [0, 2^64)"),
         (["tails", "--n", "200", "--chains", "2", "--max-index", "201"], "max_index must be <= n"),
+        (["simulate", "--model", "exact", "--n", "twenty"], "argument --n: invalid int value"),
+        (["simulate", "--model", "chain", "--law", "cauchy", "--n", "200"], "argument --law: invalid choice"),
+        (["simulate", "--model", "exact", "--n", "10", "--config", "x.json"], "unrecognized arguments: --config"),
+        # --n has no default where a run's length is the whole question
+        (["simulate", "--model", "exact"], "the following arguments are required: --n"),
+        (["gamma", "--model", "fib"], "the following arguments are required: --n"),
+        (["couple"], "the following arguments are required: --n"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, message):
@@ -321,6 +328,7 @@ def test_usage_errors_exit_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_gamma_takes_every_n_from_100(capsys):
@@ -446,6 +454,51 @@ def test_readme_examples_parse():
             pytest.fail(f"README example does not parse: lyapunov-lab {shlex.join(argv)}")
 
 
+def test_docs_name_only_flags_that_exist(capsys):
+    helps = []
+    for command in ("simulate", "gamma", "alpha", "eta", "couple", "lo", "tails", "verify"):
+        assert dispatch([command, "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    known = set(re.findall(r"--[a-z][\w-]*", "".join(helps)))
+    root = Path(__file__).resolve().parents[1]
+    for doc in ("README.md", "docs/manifest.md"):
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (root / doc).read_text()))
+        assert named - known - {"--version"} == set(), doc  # --version is gcc's, in `gcc --version`
+
+
+# one command per model and subcommand, each small enough to run twice
+_REPLAY_CASES = [
+    ["simulate", "--model", "exact", "--n", "200"],
+    ["simulate", "--model", "vt", "--law", "gaussian", "--n", "300", "--stream-id", "2"],
+    ["simulate", "--model", "fib", "--n", "2000"],
+    ["simulate", "--model", "chain", "--law", "gaussian", "--n", "1000", "--c", "0.005", "--trunc-tol", "1e-10"],
+    ["gamma", "--model", "chain", "--n", "1000", "--trajectories", "3", "--c", "0.01", "--batch-length", "20"],
+    ["gamma", "--model", "fib", "--n", "2000"],
+    ["couple", "--n", "500", "--rho0", "0.3"],
+    ["lo", "--coeffs", "-5,3,7"],
+    ["alpha", "--sigma2", "1", "--fourth-moment", "3", "--zeta-sq-factor", "3"],
+    ["eta", "--seed", "4"],
+    ["tails", "--law", "gaussian", "--n", "200", "--chains", "4", "--max-index", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", _REPLAY_CASES, ids=lambda argv: " ".join(argv[:3]))
+def test_manifest_parameters_replay_through_argv(tmp_path, capsys, argv):
+    # docs/manifest.md: re-running `command` with `parameters` reproduces the run byte for byte
+    first, again = tmp_path / "a", tmp_path / "b"
+    code, out = _run(capsys, argv + ["--out", str(first), "--no-timestamps"])
+    manifest = json.loads((first / "manifest.json").read_text())
+    replay = [manifest["command"]] + [
+        f"--{k.replace('_', '-')}={v}" for k, v in manifest["parameters"].items() if v is not None
+    ]
+    assert _run(capsys, replay + ["--out", str(again), "--no-timestamps"]) == (code, out)
+    assert code == 0
+    files = sorted(p.name for p in first.iterdir())
+    assert files == sorted(p.name for p in again.iterdir())
+    for name in files:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("model, law", [("exact", "gaussian"), ("vt", "bernoulli"), ("fib", "gaussian")])
 def test_law_a_recursion_model_does_not_draw_exits_two(capsys, model, law):
     errors = []
@@ -482,65 +535,6 @@ def test_lo_coefficients_may_start_with_a_minus_sign(capsys, argv):
     assert payload["max_atom"] == ("1/2^2" if payload["k"] == 2 else "2/2^3")
 
 
-def test_config_file_fills_missing_parameters(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 64, "seed": 9}))
-    code, out = _run(capsys, ["simulate", "--model", "exact", "--config", str(cfg)])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["n"] == 64
-
-
-def test_config_file_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 64}))
-    code, out = _run(
-        capsys, ["simulate", "--model", "exact", "--n", "32", "--config", str(cfg)]
-    )
-    assert code == 0
-    assert json.loads(out)["n"] == 32
-
-
-def test_config_file_loses_to_flag_equal_to_default(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9}))
-    argv = ["simulate", "--model", "exact", "--n", "20", "--seed", "0"]
-    code, with_cfg = _run(capsys, argv + ["--config", str(cfg)])
-    assert code == 0
-    assert with_cfg == _run(capsys, argv)[1]
-    assert with_cfg != _run(capsys, ["simulate", "--model", "exact", "--n", "20", "--seed", "9"])[1]
-
-
-def test_config_values_are_parsed_like_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": "20", "stream_id": 1, "no_timestamps": True}))
-    code, out = _run(capsys, ["simulate", "--model", "exact", "--config", str(cfg)])
-    assert code == 0
-    assert json.loads(out)["n"] == 20
-
-
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        ({"n": "twenty"}, "invalid int value"),
-        ({"n": 20.5}, "invalid int value"),
-        ({"law": "cauchy"}, "invalid choice"),
-        ({"bogus": 1}, "unrecognized arguments"),
-        ({"threads": 2}, "unrecognized arguments: --threads=2"),
-        ({"n": None}, "must be a string, a number or true"),
-        ([20], "JSON object"),
-    ],
-)
-def test_bad_config_value_exits_two(tmp_path, capsys, config, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert dispatch(["simulate", "--model", "exact", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize(
     "tol, message",
     [("0.5", "trunc_tol=0.5 outside"), ("-1", "trunc_tol=-1.0 outside"), ("nan", "argument --trunc-tol: 'nan'")],
@@ -549,14 +543,6 @@ def test_trunc_tol_out_of_range_exits_two(capsys, tol, message):
     argv = ["simulate", "--model", "chain", "--n", "200", "--trunc-tol", tol]
     assert dispatch(argv) == 2
     assert message in capsys.readouterr().err
-
-
-def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("LYAPUNOV_LAB_OUT", str(target))
-    code, _ = _run(capsys, ["alpha", "--sigma2", "1", "--fourth-moment", "3"])
-    assert code == 0
-    assert (target / "manifest.json").exists()
 
 
 def test_verify_exit_codes(monkeypatch, capsys):
