@@ -2,11 +2,24 @@
  *
  * Same Philox-4x64-10 words as laws.RngStream (key (seed, stream), word
  * 4j+i of row t is word i of the block at counter t*2^30 + j + 1), same
- * draws (a sign from the top bit, a normal from scipy's ndtri of the
- * uniform of the top 53 bits, as laws._uniforms), and the same float
- * operations in the same order as chain._step and chain._truncate: every
- * sum runs term by term from x[0], as chain._seq_sum does. Built with
- * -ffp-contract=off so that no product and sum fuse into one rounding.
+ * draws (a sign from the top bit, looked up as laws._signs does, and a
+ * normal from scipy's ndtri of the uniform of the top 53 bits, as
+ * laws._uniforms), and the same float operations in the same order as
+ * chain._step and chain._truncate: every sum runs term by term from x[0],
+ * as chain._seq_sum does.
+ *
+ * A step draws its row ROW_CHUNK coordinates at a time, the Philox blocks
+ * first and then their signs (a table lookup, not a branch on a random
+ * bit) or normals, and only then adds row[i] * v[i] into g, carried from
+ * chunk to chunk in index order: the blocks and ndtri calls, independent
+ * of one another, overlap out of order instead of waiting on the adds.
+ *
+ * Built with -O3 -ffp-contract=off and no fast-math: no product and sum
+ * fuse into one rounding, and GCC reorders a floating-point sum only
+ * under -fassociative-math. -O3 vectorizes the elementwise loops (the
+ * divides, the |z| tail sums), exact per lane, and the products of the
+ * sums, whose terms it still adds one by one in index order (an in-order,
+ * "fold-left", reduction).
  *
  * z holds the state newest first in z[front .. front+k-1] of a buffer of
  * cap entries; a step prepends at front - 1. The caller decides the
@@ -22,6 +35,10 @@
 #include <string.h>
 
 typedef double (*ndtri_fn)(double, int);
+
+#define ROW_CHUNK 256 /* coordinates drawn at a time; a multiple of the 4 words of a block */
+
+static const double sign_of_top_bit[2] = {1.0, -1.0};
 
 static void philox(uint64_t c0, uint64_t k0, uint64_t k1, uint64_t out[4])
 {
@@ -43,6 +60,21 @@ static double uniform(uint64_t w)  /* laws._uniforms: 2^53 - 1 would round up to
 {
     double u = (double)(w >> 11) * 0x1p-53 + 0x1p-54;
     return u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
+}
+
+/* coordinates i0 .. i0+m-1 of row t, i0 a multiple of 4, m <= ROW_CHUNK */
+static void draw_row(uint64_t t, int64_t i0, int64_t m, uint64_t seed, uint64_t stream, ndtri_fn ndtri,
+                     double *row)
+{
+    uint64_t word[ROW_CHUNK];
+    for (int64_t b = 0; b < m; b += 4)
+        philox((t << 30) + (uint64_t)((i0 + b) >> 2) + 1, seed, stream, word + b);
+    if (ndtri)
+        for (int64_t i = 0; i < m; i++)
+            row[i] = ndtri(uniform(word[i]), 0);
+    else
+        for (int64_t i = 0; i < m; i++)
+            row[i] = sign_of_top_bit[word[i] >> 63];
 }
 
 static double sum_squares(const double *v, int64_t k, const double *weights)
@@ -73,14 +105,12 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, int
             front = cap - k;
         }
         const double *v = z + front;
-        uint64_t word[4];
-        double g = 0.0;
-        for (int64_t i = 0; i < k; i++) {
-            if ((i & 3) == 0)
-                philox(((uint64_t)t << 30) + (uint64_t)(i >> 2) + 1, seed, stream, word);
-            uint64_t w = word[i & 3];
-            double r = ndtri ? ndtri(uniform(w), 0) : (w >> 63 ? -1.0 : 1.0);
-            g = i ? g + r * v[i] : r * v[i];
+        double row[ROW_CHUNK], g = -0.0;  /* -0.0 + x is x for every x, -0.0 too */
+        for (int64_t i0 = 0; i0 < k; i0 += ROW_CHUNK) {
+            int64_t m = k - i0 < ROW_CHUNK ? k - i0 : ROW_CHUNK;
+            draw_row((uint64_t)t, i0, m, seed, stream, ndtri, row);
+            for (int64_t i = 0; i < m; i++)
+                g += row[i] * v[i0 + i];
         }
         double inc = 0.5 * log1p(g * g);
         increments[t] = inc;

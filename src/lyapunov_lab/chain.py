@@ -39,11 +39,13 @@ __all__ = [
     "run_chain",
     "chain_engine",
     "DEFAULT_TRUNC_TOL",
+    "MIN_TRUNC_TOL",
     "MAX_TRUNC_TOL",
     "CHAIN_STEP_CAP",
 ]
 
 DEFAULT_TRUNC_TOL = 1e-14
+MIN_TRUNC_TOL = 1e-150  # its square is a normal double; below about 2e-162 tol * tol is 0 and nothing drops
 MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
 CHAIN_STEP_CAP = 10**8  # the increments hold 8 bytes a step: 800 MB at the cap
 # the cap also keeps every row below 2^34, past which a row's Philox counter leaves its low 64-bit limb
@@ -133,8 +135,8 @@ def _check_run(law: CoefficientLaw, n: int, c: float, trunc_tol: float) -> float
         raise ValueError("n must be >= 100")
     if n > CHAIN_STEP_CAP:
         raise ValueError(f"n={n} exceeds the chain's step cap {CHAIN_STEP_CAP}")
-    if not 0.0 < trunc_tol <= MAX_TRUNC_TOL:
-        raise ValueError(f"trunc_tol={trunc_tol} outside (0, {MAX_TRUNC_TOL:g}]")
+    if not MIN_TRUNC_TOL <= trunc_tol <= MAX_TRUNC_TOL:
+        raise ValueError(f"trunc_tol={trunc_tol} outside [{MIN_TRUNC_TOL:g}, {MAX_TRUNC_TOL:g}]")
     if c > 0.0:
         sigma2, d4 = law.sigma2, law.fourth_moment
         neg_log_alpha = -math.log(alpha_bound(sigma2, d4).alpha)
@@ -159,7 +161,7 @@ def run_chain(
     checkpoints, and the per-index mean |z_i| over the last half of the run.
     For c > 0 the weight must satisfy c < -log(alpha) for the law's moments,
     the regime where the weighted and plain rates provably agree.
-    trunc_tol must lie in (0, MAX_TRUNC_TOL], and n in [100, CHAIN_STEP_CAP].
+    trunc_tol must lie in [MIN_TRUNC_TOL, MAX_TRUNC_TOL], and n in [100, CHAIN_STEP_CAP].
 
     The compiled kernel runs the trajectory when it can be built (see
     chain_engine), the reference loop _run_reference otherwise; both give
@@ -226,7 +228,7 @@ def _run_reference(
 
 _KERNEL_SOURCE = Path(__file__).with_name("_chain_kernel.c")
 # -ffp-contract=off: a fused multiply-add rounds once where the reference rounds twice
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_ROWS = 512  # initial state buffer; the live support settles near 110-130 at the default tolerance
 
 

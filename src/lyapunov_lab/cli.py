@@ -281,9 +281,16 @@ def _int_in(low: int, high: float, span: str) -> Callable[[str], int]:
 _uint64 = _int_in(0, 1 << 64, "in [0, 2^64)")  # --seed and --stream-id
 
 
+def _out_dir(text: str) -> str:
+    """argparse type of --out: a directory name; the empty string would name none and write nothing."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
     p.add_argument("--seed", type=_uint64, default=seed_default, help="64-bit unsigned seed")
-    p.add_argument("--out", type=str, default=None, help="output directory for the manifest and data CSVs")
+    p.add_argument("--out", type=_out_dir, default=None, help="output directory for the manifest and data CSVs")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")
 
 

@@ -10,6 +10,7 @@ from lyapunov_lab import chain
 from lyapunov_lab.chain import (
     DEFAULT_TRUNC_TOL,
     MAX_TRUNC_TOL,
+    MIN_TRUNC_TOL,
     run_chain,
     weighted_norm,
 )
@@ -127,7 +128,9 @@ def test_run_chain_preconditions():
             run_chain(BERNOULLI, 1000, RngStream(0, 0), c=c)
 
 
-@pytest.mark.parametrize("tol", [0.5, 2e-8, 0.0, -1.0, math.nan, math.inf])
+# 1e-200 squared underflows to 0.0: the truncation walk would never drop
+# anything, and the support would grow to n + 1
+@pytest.mark.parametrize("tol", [0.5, 2e-8, 0.0, -1.0, math.nan, math.inf, 1e-200, math.nextafter(MIN_TRUNC_TOL, 0)])
 def test_run_chain_rejects_trunc_tol_outside_range(tol):
     with pytest.raises(ValueError, match="trunc_tol"):
         run_chain(BERNOULLI, 100, RngStream(0, 0), trunc_tol=tol)
@@ -195,6 +198,52 @@ def test_run_chain_matches_through_truncation_and_buffer_moves(compiled, trunc_t
         _assert_same_run(run, _reference(BERNOULLI, n, RngStream(5, stream), trunc_tol=trunc_tol))
         assert run.dropped_mass > 0.0
         assert run.coords.size < 200  # of the n + 1 the support would reach untruncated
+
+
+@pytest.mark.parametrize("c", [0.0, 0.005])
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_kernel_equals_reference_when_a_row_spans_several_chunks(compiled, law, c):
+    # at the smallest tolerance the support reaches 1254 (bernoulli) and 1345
+    # (gaussian): each row spans several of the kernel's 256-coordinate
+    # chunks, the 512-entry buffer doubles at least twice, and the final row ends
+    # inside a Philox block of 4 words. Coordinates past about 130 fall
+    # below the last bit of g, so the words of the later chunks are checked
+    # on a flat state below.
+    run = run_chain(law, 3000, RngStream(5, 40), c, MIN_TRUNC_TOL)
+    _assert_same_run(run, _reference(law, 3000, RngStream(5, 40), c, MIN_TRUNC_TOL))
+    assert run.coords.size > 2 * chain._KERNEL_ROWS
+    assert run.coords.size % 4 != 0
+    assert 0.0 < run.dropped_mass < 3000 * MIN_TRUNC_TOL
+
+
+@pytest.mark.parametrize("law", [BERNOULLI, GAUSSIAN], ids=["bernoulli", "gaussian"])
+def test_kernel_steps_equal_step_on_a_flat_state(compiled, law):
+    # every coordinate of a flat state moves g, so a word drawn for the wrong
+    # coordinate in any chunk of a row shows; 1001 coordinates span four
+    # chunks and end inside a Philox block
+    k, first, n = 1001, 1000, 1004
+    coords = np.where(np.arange(k) % 3 == 0, -1.0, 1.0) / math.sqrt(k)
+    expected, incs, rng = coords, [], RngStream(11, 2)
+    for t in range(first, n):
+        expected, inc, _ = chain._step(expected, law, rng, t, DEFAULT_TRUNC_TOL)
+        incs.append(inc)
+
+    fn, ndtri = chain._kernel()
+    cap = 4096
+    z = np.zeros(cap)
+    z[cap - k :] = coords
+    increments, norms, tail = np.zeros(n), np.zeros(n), np.zeros(cap)
+    ist = np.array([first, cap - k, k, 0], dtype=np.int64)
+    dst = np.zeros(2)
+    done = fn(
+        11, 2, ndtri if law is GAUSSIAN else None, n, n, DEFAULT_TRUNC_TOL, np.ones(cap).ctypes.data, 1,
+        z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
+        ist.ctypes.data, dst.ctypes.data,
+    )  # fmt: skip
+    assert done == n
+    front, support = int(ist[1]), int(ist[2])
+    assert z[front : front + support].tobytes() == expected.tobytes()
+    assert increments[first:].tolist() == incs
 
 
 def test_run_chain_matches_when_the_buffer_grows(compiled, monkeypatch):

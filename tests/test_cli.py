@@ -317,6 +317,8 @@ def test_module_entry_points():
         (["simulate", "--model", "exact", "--n", "twenty"], "argument --n: invalid int value"),
         (["simulate", "--model", "chain", "--law", "cauchy", "--n", "200"], "argument --law: invalid choice"),
         (["simulate", "--model", "exact", "--n", "10", "--config", "x.json"], "unrecognized arguments: --config"),
+        # an empty --out names no directory: the run would write nothing
+        (["simulate", "--model", "exact", "--n", "20", "--out", ""], "argument --out: must name a directory"),
         # --n has no default where a run's length is the whole question
         (["simulate", "--model", "exact"], "the following arguments are required: --n"),
         (["gamma", "--model", "fib"], "the following arguments are required: --n"),
@@ -537,7 +539,13 @@ def test_lo_coefficients_may_start_with_a_minus_sign(capsys, argv):
 
 @pytest.mark.parametrize(
     "tol, message",
-    [("0.5", "trunc_tol=0.5 outside"), ("-1", "trunc_tol=-1.0 outside"), ("nan", "argument --trunc-tol: 'nan'")],
+    [
+        ("0.5", "trunc_tol=0.5 outside"),
+        ("-1", "trunc_tol=-1.0 outside"),
+        ("nan", "argument --trunc-tol: 'nan'"),
+        # its square underflows to 0.0, which would turn truncation off
+        ("1e-200", "trunc_tol=1e-200 outside [1e-150, 1e-08]"),
+    ],
 )
 def test_trunc_tol_out_of_range_exits_two(capsys, tol, message):
     argv = ["simulate", "--model", "chain", "--n", "200", "--trunc-tol", tol]
