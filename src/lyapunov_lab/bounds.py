@@ -2,10 +2,8 @@
 
 * alpha_bound: the contraction constant alpha < 1 bounding E(1/||AY||) over
   unit vectors Y, from the maximum of a(sigma2-a)^2 / (f*D*(1+a)) over
-  a in (0, sigma2), which has a closed form. The default factor f = 7
-  matches the conservative fourth-moment bound used to derive the
-  constant; a sharper factor can be passed explicitly (f = 3 is valid for
-  unit-variance signs).
+  a in (0, sigma2), which has a closed form. The factor f = ZETA_SQ_FACTOR
+  = 7 is the conservative fourth-moment bound used to derive the constant.
 * verify_alpha_mc: Monte Carlo check that E(1/||AY||) <= alpha for a given
   unit vector, where ||AY|| = sqrt(1 + (<eps, Y>)^2).
 * lo_max_atom: exact largest atom of a signed sum of nonzero integer
@@ -33,44 +31,40 @@ __all__ = [
 ]
 
 
+ZETA_SQ_FACTOR = 7.0
+"""The factor f in alpha_bound's divisor f*D*(1+a), from the conservative fourth-moment bound."""
+
+
 @dataclass(frozen=True)
 class AlphaResult:
     alpha: float
     argmax_a: float
-    sigma2: float
-    fourth_moment: float
-    zeta_sq_factor: float
 
 
-def alpha_bound(sigma2: float, fourth_moment: float, zeta_sq_factor: float = 7.0) -> AlphaResult:
-    """Contraction constant alpha = 1 - max_a a(sigma2-a)^2/(f*D*(1+a)).
+def alpha_bound(sigma2: float, fourth_moment: float) -> AlphaResult:
+    """Contraction constant alpha = 1 - max_a a(sigma2-a)^2/(f*D*(1+a)), f = ZETA_SQ_FACTOR.
 
     The derivative of a(s-a)^2/(1+a) factors as (s-a)(s-3a-2a^2)/(1+a)^2,
     so on (0, s) the maximizer is the positive root of 2a^2 + 3a = s,
     a* = (-3 + sqrt(9+8s))/4, evaluated as 2s/(3 + sqrt(9+8s)) to avoid
-    cancellation when s is small. alpha bounds a mean of positive values,
-    so a factor that leaves alpha <= 0 is rejected; every factor >= 1
-    gives alpha > 0, since D >= s^2.
+    cancellation when s is small. Since D >= s^2 and f >= 1, the maximum
+    is below 1 and alpha > 0, unless a*(s-a*)^2 overflows: then alpha is
+    NaN, and it is rejected, as alpha bounds a mean of positive values.
     """
     # each test is negated so that NaN fails it
     if not 0.0 < sigma2 < math.inf:
         raise ValueError("sigma2 must be positive and finite")
     if not fourth_moment >= sigma2 * sigma2:
         raise ValueError("fourth moment below sigma2^2 violates Jensen")
-    if not 0.0 < zeta_sq_factor < math.inf:
-        raise ValueError("zeta_sq_factor must be positive and finite")
     a_star = 2.0 * sigma2 / (3.0 + math.sqrt(9.0 + 8.0 * sigma2))
-    f_star = a_star * (sigma2 - a_star) ** 2 / (zeta_sq_factor * fourth_moment * (1.0 + a_star))
+    f_star = a_star * (sigma2 - a_star) ** 2 / (ZETA_SQ_FACTOR * fourth_moment * (1.0 + a_star))
     alpha = 1.0 - f_star
     if not alpha > 0.0:
-        raise ValueError(f"zeta_sq_factor={zeta_sq_factor!r} gives alpha={alpha!r}, but alpha must be > 0")
-    return AlphaResult(
-        alpha=alpha,
-        argmax_a=a_star,
-        sigma2=sigma2,
-        fourth_moment=fourth_moment,
-        zeta_sq_factor=zeta_sq_factor,
-    )
+        raise ValueError(
+            f"sigma2={sigma2!r} and fourth_moment={fourth_moment!r} give alpha={alpha!r}: "
+            "the closed form overflows, and alpha must be > 0"
+        )
+    return AlphaResult(alpha=alpha, argmax_a=a_star)
 
 
 @dataclass(frozen=True)

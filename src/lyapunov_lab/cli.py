@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -123,12 +123,12 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
     rng = RngStream(args.seed, stream)
     if args.model == "chain":
         run = chain.run_chain(law_from_name(args.law), args.n, rng, c=args.c)
-        est = estimators.gamma_from_increments(run.increments, args.batch_length)
+        est = estimators.gamma_from_increments(run.increments)
         if args.c > 0.0:
             return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]), args.n)
         return est
     log_norms = recursion.log_norms(args.model, args.n, rng)
-    return estimators.gamma_from_increments(np.diff(log_norms), args.batch_length)
+    return estimators.gamma_from_increments(np.diff(log_norms))
 
 
 def _cmd_gamma(args) -> tuple[dict, dict]:
@@ -137,11 +137,6 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
         raise ValueError(f"--trajectories must be >= 1, got {args.trajectories}")
     if args.n < 100:
         raise ValueError(f"--n must be >= 100 for gamma, got {args.n}")
-    if args.batch_length is not None:
-        # ten batches of increments; fib's log norm starts at step 1, so it has n - 1 of them
-        n_min = 10 * args.batch_length + (args.model == "fib")
-        if args.n < n_min:
-            raise ValueError(f"--batch-length {args.batch_length} needs --n >= {n_min}, got --n {args.n}")
     ests = ordered_map(lambda j: _gamma_one(args, j), range(args.trajectories))
     est = estimators.pool_estimates(ests)
     results = {
@@ -159,7 +154,7 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
 
 
 def _cmd_alpha(args) -> tuple[dict, dict]:
-    res = bounds.alpha_bound(args.sigma2, args.fourth_moment, args.zeta_sq_factor)
+    res = bounds.alpha_bound(args.sigma2, args.fourth_moment)
     return asdict(res), {}
 
 
@@ -168,13 +163,12 @@ def _cmd_eta(args) -> tuple[dict, dict]:
 
 
 def _cmd_couple(args) -> tuple[dict, dict]:
-    trace = gaussian.couple(args.n, RngStream(args.seed, args.stream_id), args.rho0)
+    trace = gaussian.couple(args.n, RngStream(args.seed, args.stream_id))
     results = {
         "mean_log_b": trace.mean_log_b,
         "final_log_a2": float(trace.log_a2[-1]),
         "final_rho": float(trace.rho[-1]),
         "n": args.n,
-        "rho0": args.rho0,
     }
     files = {
         "trace.csv": (
@@ -187,11 +181,9 @@ def _cmd_couple(args) -> tuple[dict, dict]:
 
 def _cmd_lo(args) -> tuple[dict, dict]:
     try:
-        coeffs = [int(tok) for tok in args.coeffs.split(",") if tok.strip()]
+        coeffs = [int(tok) for tok in args.coeffs.split(",")]
     except ValueError:
-        raise ValueError(f"--coeffs must be comma-separated integers, got {args.coeffs!r}") from None
-    if not coeffs:
-        raise ValueError(f"--coeffs must name at least one integer, got {args.coeffs!r}")
+        raise ValueError(f"--coeffs must be comma-separated integers, none empty, got {args.coeffs!r}") from None
     res = bounds.lo_max_atom(coeffs)
     results = {
         "k": res.k,
@@ -204,7 +196,7 @@ def _cmd_lo(args) -> tuple[dict, dict]:
 
 def _cmd_tails(args) -> tuple[dict, dict]:
     law = law_from_name(args.law)
-    stats = verification.tail_statistics(law, args.n, args.chains, args.seed, args.max_index)
+    stats = verification.tail_statistics(law, args.n, args.chains, args.seed)
     results = {
         "alpha": stats["alpha"],
         "max_z": stats["max_z"],
@@ -263,22 +255,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_in(low: int, high: float, span: str) -> Callable[[str], int]:
-    """argparse type of an integer flag in [low, high); a value outside is a usage error naming `span`."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if not low <= value < high:
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
-        return value
-
-    return parse
-
-
-_uint64 = _int_in(0, 1 << 64, "in [0, 2^64)")  # --seed and --stream-id
+def _uint64(text: str) -> int:
+    """argparse type of --seed and --stream-id: an integer in [0, 2^64), or a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
 
 
 def _out_dir(text: str) -> str:
@@ -317,14 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"])
-    p.add_argument("--batch-length", type=_int_in(1, math.inf, ">= 1"), default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("alpha", help="contraction constant for given moments")
     p.add_argument("--sigma2", type=_finite_float, required=True)
     p.add_argument("--fourth-moment", type=_finite_float, required=True)
-    p.add_argument("--zeta-sq-factor", type=_finite_float, default=7.0)
     _add_common(p)
     p.set_defaults(func=_cmd_alpha)
 
@@ -334,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("couple", help="two-chain coupling trace")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho0", type=_finite_float, default=0.0)
     p.add_argument("--stream-id", type=_uint64, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_couple)
@@ -348,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--chains", type=int, default=100)
-    p.add_argument("--max-index", type=int, default=50)
     _add_common(p)
     p.set_defaults(func=_cmd_tails)
 

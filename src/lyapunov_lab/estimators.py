@@ -33,27 +33,21 @@ class RateComparison:
     verdict: bool
 
 
-def gamma_from_increments(
-    increments: np.ndarray,
-    batch_length: int | None = None,
-) -> GrowthEstimate:
+def gamma_from_increments(increments: np.ndarray) -> GrowthEstimate:
     """Mean of an increment series with a batch-means standard error.
 
     The point estimate is exactly the arithmetic mean of the whole series;
-    only the standard error depends on the batch length (default
-    ceil(sqrt(n)), at most n // 10), which groups dependent increments into
-    approximately independent batch averages. The series needs at least
-    ten batches.
+    only the standard error depends on the batch length, ceil(sqrt(n)) and
+    at most n // 10, which groups dependent increments into approximately
+    independent batch averages. The series needs at least ten batches, so
+    at least ten entries.
     """
     x = np.asarray(increments, dtype=float)
     n = x.size
-    if batch_length is None:
-        batch_length = math.isqrt(n)
-        if batch_length * batch_length < n:
-            batch_length += 1
-        batch_length = max(1, min(batch_length, n // 10))
-    if batch_length < 1:
-        raise ValueError("batch_length must be >= 1")
+    batch_length = math.isqrt(n)
+    if batch_length * batch_length < n:
+        batch_length += 1
+    batch_length = max(1, min(batch_length, n // 10))
     if n < 10 * batch_length:
         raise ValueError(f"series of length {n} needs >= {10 * batch_length} entries")
     gamma = float(np.mean(x))

@@ -156,26 +156,24 @@ class CouplingTrace:
         return float(np.mean(self.log_b[1:]))
 
 
-def couple(n: int, rng: RngStream, rho0: float = 0.0) -> CouplingTrace:
-    """Evolve the scalar coupling recursion for n steps from overlap rho0.
+def couple(n: int, rng: RngStream) -> CouplingTrace:
+    """Evolve the scalar coupling recursion for n steps from overlap rho = 0.
 
     Only the scalar misalignment is tracked: log a^2 is evolved additively
     by F(rho, g, w) and rho recovered as sqrt(1 - exp(log a^2)), clamped to
     [0, 1]. Once a^2 underflows the limit form of F takes over on its own.
     Step t draws its (g, w) pair at rng row t-1, so a trace is a pure
-    function of (seed, stream, rho0). n is capped at COUPLE_STEP_CAP.
+    function of (seed, stream). n is capped at COUPLE_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > COUPLE_STEP_CAP:
         raise ValueError(f"n={n} exceeds the coupling trace's step cap {COUPLE_STEP_CAP}")
-    if not 0.0 <= rho0 < 1.0:
-        raise ValueError("rho0 must lie in [0, 1)")
     rho = np.empty(n + 1)
     log_a2 = np.empty(n + 1)
     log_b = np.zeros(n + 1)
-    r = rho0
-    la2 = math.log1p(-rho0 * rho0)
+    r = 0.0
+    la2 = -0.0  # log(1 - r^2) as math.log1p(-0.0) gives it: row 0 of trace.csv reads -0
     rho[0] = r
     log_a2[0] = la2
     for first in range(0, n, ROW_CHUNK):

@@ -7,6 +7,7 @@ Seeds are frozen; reruns are bit-identical.
 
 import dataclasses
 import inspect
+import math
 import time
 
 import numpy as np
@@ -69,6 +70,19 @@ def test_c02_vt_limit():
     print(V.format_line(check), f"[{elapsed:.1f} s]")
     assert elapsed < 120.0
     assert check.passed, V.format_line(check)
+
+
+def test_c02_vt_check_is_not_vacuous(monkeypatch):
+    # a run_vt whose rate is log 4 + 0.03: inside the old +-0.07 band, but many batch-means se out
+    from lyapunov_lab import recursion
+
+    def drifted(n, rng):
+        return np.concatenate(([0.0], np.cumsum(math.log(4.0) + 0.03 + rng.normals(n))))
+
+    monkeypatch.setattr(recursion, "run_vt", drifted)
+    check = V.check_vt_log4()
+    assert abs(float(check.observed) - float(check.expected)) <= 0.07
+    assert not check.passed, V.format_line(check)
 
 
 def test_c03_gaussian_rate_equals_lambda_v():

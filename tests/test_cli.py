@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -18,9 +19,9 @@ from lyapunov_lab import chain, cli, gaussian, recursion, verification
 from lyapunov_lab.chain import CHAIN_STEP_CAP
 from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import COUPLE_STEP_CAP
-from lyapunov_lab.laws import RngStream
+from lyapunov_lab.laws import BERNOULLI, RngStream
 from lyapunov_lab.recursion import EXACT_STEP_CAP, FIB_STEP_CAP, VT_STEP_CAP
-from lyapunov_lab.verification import TAIL_CELL_CAP
+from lyapunov_lab.verification import TAIL_CELL_CAP, TAIL_MAX_INDEX
 
 
 # every model, with the law it draws from (the chain takes both)
@@ -37,6 +38,7 @@ def test_alpha_json(capsys):
     code, out = _run(capsys, ["alpha", "--sigma2", "1", "--fourth-moment", "1"])
     assert code == 0
     payload = json.loads(out)
+    assert payload.keys() == {"alpha", "argmax_a"}
     assert payload["alpha"] == pytest.approx(0.9838, abs=1e-4)
     assert 0.0 < payload["argmax_a"] < 1.0
 
@@ -213,10 +215,11 @@ def test_couple_trace(tmp_path, capsys):
     out_dir = tmp_path / "couple"
     code, out = _run(
         capsys,
-        ["couple", "--n", "500", "--rho0", "0", "--seed", "3", "--out", str(out_dir)],
+        ["couple", "--n", "500", "--seed", "3", "--out", str(out_dir)],
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload.keys() == {"mean_log_b", "final_log_a2", "final_rho", "n"}
     assert payload["final_log_a2"] < 0.0
     lines = (out_dir / "trace.csv").read_text().splitlines()
     assert lines[0] == "step,rho,log_a2,log_b"
@@ -229,7 +232,7 @@ def test_tails_small(tmp_path, capsys):
         capsys,
         [
             "tails", "--law", "bernoulli", "--n", "200", "--chains", "8",
-            "--max-index", "10", "--seed", "11", "--out", str(out_dir),
+            "--seed", "11", "--out", str(out_dir),
         ],
     )
     assert code == 0
@@ -237,7 +240,7 @@ def test_tails_small(tmp_path, capsys):
     assert payload["passed"] is True
     lines = (out_dir / "tails.csv").read_text().splitlines()
     assert lines[0] == "index,tail_mean,alpha_power,stderr"
-    assert len(lines) == 12
+    assert len(lines) == 1 + TAIL_MAX_INDEX + 1
 
 
 def test_tails_needs_two_chains(capsys):
@@ -281,7 +284,6 @@ def test_module_entry_points():
         (["nonsense"], "invalid choice"),
         (["alpha", "--sigma2", "2", "--fourth-moment", "1"], "violates Jensen"),
         (["lo", "--coeffs", "1,0,3"], "must be nonzero"),
-        (["tails", "--n", "200", "--chains", "2", "--max-index", "-1"], "max_index must be >= 0"),
         (["gamma", "--model", "chain", "--n", "200", "--threads", "2"], "unrecognized arguments: --threads"),
         (["gamma", "--model", "chain", "--n", "200", "--c", "nan"], "argument --c: 'nan' is not a finite"),
         (
@@ -293,30 +295,39 @@ def test_module_entry_points():
         (["alpha", "--sigma2", "nan", "--fourth-moment", "1"], "argument --sigma2: 'nan' is not a finite"),
         (["alpha", "--sigma2", "1", "--fourth-moment", "nan"], "argument --fourth-moment: 'nan'"),
         (["alpha", "--sigma2", "1", "--fourth-moment", "inf"], "argument --fourth-moment: 'inf'"),
-        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "nan"], "--zeta-sq-factor: 'nan'"),
-        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "inf"], "--zeta-sq-factor: 'inf'"),
-        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "0.001"], "zeta_sq_factor=0.001"),
-        (["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "1e-320"], "zeta_sq_factor=1e-320"),
         (["alpha", "--sigma2", "one", "--fourth-moment", "1"], "argument --sigma2: 'one' is not a number"),
-        (["couple", "--n", "10", "--rho0", "inf"], "argument --rho0: 'inf' is not a finite"),
+        # a*(s-a)^2 and the divisor both overflow to inf, so the closed form gives alpha = nan
+        (
+            ["alpha", "--sigma2", "1e154", "--fourth-moment", "1e308"],
+            "sigma2=1e+154 and fourth_moment=1e+308 give alpha=nan: the closed form overflows",
+        ),
         # a flag its model never reads, set off its default
         (["gamma", "--model", "vt", "--law", "gaussian", "--n", "200", "--c", "0.01"], "does not read --c"),
         (["simulate", "--model", "fib", "--n", "200", "--c", "0.01"], "does not read --c"),
         (["simulate", "--model", "exact", "--n", "20", "--trunc-tol", "1e-9"], "does not read --trunc-tol"),
         (["gamma", "--model", "chain", "--n", "1000", "--trajectories", "0"], "--trajectories must be >= 1"),
         (["lo", "--coeffs", "1,x"], "--coeffs must be comma-separated integers"),
-        (["lo", "--coeffs", ","], "--coeffs must name at least one integer"),
-        (["gamma", "--model", "chain", "--n", "1000", "--batch-length", "0"], "argument --batch-length: must be >= 1"),
-        (["gamma", "--model", "chain", "--n", "200", "--batch-length", "100"], "--batch-length 100 needs --n >= 1000"),
-        (["gamma", "--model", "fib", "--n", "1000", "--batch-length", "100"], "--batch-length 100 needs --n >= 1001"),
+        (["lo", "--coeffs", ","], "--coeffs must be comma-separated integers, none empty, got ','"),
+        (["lo", "--coeffs", "1,,2"], "--coeffs must be comma-separated integers, none empty, got '1,,2'"),
+        (["lo", "--coeffs", "1,2,"], "--coeffs must be comma-separated integers, none empty, got '1,2,'"),
         (["gamma", "--model", "exact", "--n", "20"], "--n must be >= 100 for gamma"),
         (["simulate", "--model", "exact", "--n", "10", "--seed", "-1"], "argument --seed: must be in [0, 2^64)"),
         (["simulate", "--model", "exact", "--n", "10", "--stream-id", "-1"], "argument --stream-id: must be in"),
         (["couple", "--n", "10", "--stream-id", str(2**64)], "argument --stream-id: must be in [0, 2^64)"),
-        (["tails", "--n", "200", "--chains", "2", "--max-index", "201"], "max_index must be <= n"),
         (["simulate", "--model", "exact", "--n", "twenty"], "argument --n: invalid int value"),
         (["simulate", "--model", "chain", "--law", "cauchy", "--n", "200"], "argument --law: invalid choice"),
         (["simulate", "--model", "exact", "--n", "10", "--config", "x.json"], "unrecognized arguments: --config"),
+        # tuning flags that had one value in use, now fixed
+        (
+            ["gamma", "--model", "chain", "--n", "1000", "--batch-length", "20"],
+            "unrecognized arguments: --batch-length",
+        ),
+        (["tails", "--n", "200", "--chains", "2", "--max-index", "10"], "unrecognized arguments: --max-index"),
+        (["couple", "--n", "10", "--rho0", "0.3"], "unrecognized arguments: --rho0"),
+        (
+            ["alpha", "--sigma2", "1", "--fourth-moment", "1", "--zeta-sq-factor", "3"],
+            "unrecognized arguments: --zeta-sq-factor",
+        ),
         # an empty --out names no directory: the run would write nothing
         (["simulate", "--model", "exact", "--n", "20", "--out", ""], "argument --out: must name a directory"),
         # --n has no default where a run's length is the whole question
@@ -340,17 +351,18 @@ def test_gamma_takes_every_n_from_100(capsys):
     capsys.readouterr()
 
 
-def test_tails_max_z_ignores_indices_no_chain_reached(capsys):
-    # the chains' support ends near index 130; the columns past it have no spread
-    argv = ["tails", "--chains", "16", "--n", "1000", "--seed", "3", "--max-index"]
-    code, reached = _run(capsys, argv + ["130"])
-    assert code == 0
-    code, beyond = _run(capsys, argv + ["200"])
-    assert code == 0
-    reached, beyond = json.loads(reached), json.loads(beyond)
-    assert reached["max_z"] < -100.0
-    assert beyond["max_z"] == reached["max_z"]
-    assert beyond["passed"] is reached["passed"] is True
+def test_tails_max_z_ignores_indices_no_chain_reached(monkeypatch):
+    # chains whose support ends before index 20 leave the columns past it without spread
+    def short_run(law, n, rng):
+        return types.SimpleNamespace(tail_means=0.5 ** np.arange(1, 21) * (1.0 + rng.uniforms(20)))
+
+    monkeypatch.setattr(chain, "run_chain", short_run)
+    stats = verification.tail_statistics(BERNOULLI, 1000, 8, 3)
+    assert stats["indices"].size == TAIL_MAX_INDEX + 1
+    assert np.all(stats["stderrs"][:20] > 0) and np.all(stats["stderrs"][20:] == 0)
+    reached = (stats["means"][:20] - stats["alpha_powers"][:20]) / stats["stderrs"][:20]
+    assert stats["max_z"] == float(reached.max())
+    assert stats["passed"] is True
 
 
 _BAD_UINT64 = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
@@ -368,15 +380,9 @@ def _out_of_domain_cases() -> st.SearchStrategy:
         _bad(["tails"], "--n", below_one),
         _bad(["tails"], "--n", below_100),
         _bad(["tails"], "--chains", st.integers(max_value=1)),
-        _bad(["tails"], "--max-index", st.integers(max_value=-1)),
-        st.integers(100, 5000).flatmap(
-            lambda n: _bad(["tails", "--n", str(n)], "--max-index", st.integers(min_value=n + 1))
-        ),
     ]
     for model, law in _MODEL_LAWS:
-        # at --n 1000 every model has at most 1000 increments, too few for ten batches of 101
         gamma = ["gamma", "--model", model, "--law", law, "--n", "1000"]
-        cases.append(_bad(gamma, "--batch-length", st.integers(max_value=0) | st.integers(min_value=101)))
         cases.append(_bad(["simulate", "--model", model, "--law", law], "--n", below_one))
         cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_one))
         cases.append(_bad(["gamma", "--model", model, "--law", law], "--n", below_100))
@@ -393,7 +399,7 @@ def _out_of_domain_cases() -> st.SearchStrategy:
             cases.append(_bad([command, "--model", model, "--law", law], "--n", st.integers(min_value=cap + 1)))
     cases.append(_bad(["couple"], "--n", st.integers(min_value=COUPLE_STEP_CAP + 1)))
     cases.append(_bad(["tails"], "--n", st.integers(min_value=CHAIN_STEP_CAP + 1)))
-    cases.append(_bad(["tails", "--max-index", "50"], "--chains", st.integers(min_value=TAIL_CELL_CAP // 51 + 1)))
+    cases.append(_bad(["tails"], "--chains", st.integers(min_value=TAIL_CELL_CAP // (TAIL_MAX_INDEX + 1) + 1)))
     valid = [
         ["simulate", "--model", "exact", "--n", "10"],
         ["gamma", "--model", "fib", "--n", "1000"],
@@ -456,16 +462,28 @@ def test_readme_examples_parse():
             pytest.fail(f"README example does not parse: lyapunov-lab {shlex.join(argv)}")
 
 
-def test_docs_name_only_flags_that_exist(capsys):
+def _parser_flags(capsys) -> set[str]:
+    """Every --flag that some subcommand's --help lists."""
     helps = []
     for command in ("simulate", "gamma", "alpha", "eta", "couple", "lo", "tails", "verify"):
         assert dispatch([command, "--help"]) == 0
         helps.append(capsys.readouterr().out)
-    known = set(re.findall(r"--[a-z][\w-]*", "".join(helps)))
-    root = Path(__file__).resolve().parents[1]
+    return set(re.findall(r"--[a-z][\w-]*", "".join(helps)))
+
+
+def _doc_flags(doc: str) -> set[str]:
+    text = (Path(__file__).resolve().parents[1] / doc).read_text()
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+
+
+def test_docs_name_only_flags_that_exist(capsys):
+    known = _parser_flags(capsys)
     for doc in ("README.md", "docs/manifest.md"):
-        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (root / doc).read_text()))
-        assert named - known - {"--version"} == set(), doc  # --version is gcc's, in `gcc --version`
+        assert _doc_flags(doc) - known - {"--version"} == set(), doc  # --version is gcc's, in `gcc --version`
+
+
+def test_readme_names_every_flag(capsys):
+    assert _parser_flags(capsys) - _doc_flags("README.md") - {"--help"} == set()
 
 
 # one command per model and subcommand, each small enough to run twice
@@ -474,13 +492,13 @@ _REPLAY_CASES = [
     ["simulate", "--model", "vt", "--law", "gaussian", "--n", "300", "--stream-id", "2"],
     ["simulate", "--model", "fib", "--n", "2000"],
     ["simulate", "--model", "chain", "--law", "gaussian", "--n", "1000", "--c", "0.005", "--trunc-tol", "1e-10"],
-    ["gamma", "--model", "chain", "--n", "1000", "--trajectories", "3", "--c", "0.01", "--batch-length", "20"],
+    ["gamma", "--model", "chain", "--n", "1000", "--trajectories", "3", "--c", "0.01"],
     ["gamma", "--model", "fib", "--n", "2000"],
-    ["couple", "--n", "500", "--rho0", "0.3"],
+    ["couple", "--n", "500", "--seed", "5"],
     ["lo", "--coeffs", "-5,3,7"],
-    ["alpha", "--sigma2", "1", "--fourth-moment", "3", "--zeta-sq-factor", "3"],
+    ["alpha", "--sigma2", "1", "--fourth-moment", "3"],
     ["eta", "--seed", "4"],
-    ["tails", "--law", "gaussian", "--n", "200", "--chains", "4", "--max-index", "10"],
+    ["tails", "--law", "gaussian", "--n", "200", "--chains", "4"],
 ]
 
 

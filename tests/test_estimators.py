@@ -28,37 +28,38 @@ def test_constant_series():
 
 
 def test_alternating_series_batch_two():
-    # identical batch means kill the period-2 oscillation; the spread left
-    # over is pure float roundoff
+    # 20 entries give batches of min(ceil(sqrt(20)), 20 // 10) = 2: identical
+    # batch means kill the period-2 oscillation, and the spread left over is
+    # pure float roundoff
     series = np.tile([0.2, 0.4], 10)
-    est = gamma_from_increments(series, batch_length=2)
+    est = gamma_from_increments(series)
     assert est.gamma_hat == pytest.approx(0.3, abs=1e-15)
     assert est.stderr <= 1e-15
 
 
 def test_point_estimate_is_exactly_the_mean():
-    rng = RngStream(10, 0)
-    series = rng.normals(1000)
-    mean = float(np.mean(series))
-    for batch in (1, 7, 10, 31, 100):
-        est = gamma_from_increments(series, batch_length=batch)
-        assert est.gamma_hat == mean
+    series = RngStream(10, 0).normals(1000)
+    for n in (10, 11, 99, 100, 101, 1000):
+        assert gamma_from_increments(series[:n]).gamma_hat == float(np.mean(series[:n]))
 
 
-@given(
-    data=st.lists(st.floats(min_value=-10, max_value=10), min_size=40, max_size=120),
-    batch=st.integers(min_value=1, max_value=4),
-)
+@given(data=st.lists(st.floats(min_value=-10, max_value=10), min_size=10, max_size=400))
 @settings(max_examples=60, deadline=None)
-def test_batch_length_never_moves_the_estimate(data, batch):
+def test_batching_never_moves_the_estimate(data):
     series = np.asarray(data)
-    est = gamma_from_increments(series, batch_length=batch)
-    assert est.gamma_hat == float(np.mean(series))
+    assert gamma_from_increments(series).gamma_hat == float(np.mean(series))
+
+
+@pytest.mark.parametrize("n, batch", [(10, 1), (99, 9), (100, 10), (101, 10), (1000, 32), (10_000, 100)])
+def test_batch_length_is_ceil_sqrt_n_at_most_a_tenth(n, batch):
+    series = RngStream(12, 0).normals(n)
+    nb = n // batch
+    means = series[: nb * batch].reshape(nb, batch).mean(axis=1)
+    expected = float(np.std(means, ddof=1) / math.sqrt(nb))
+    assert gamma_from_increments(series).stderr == expected
 
 
 def test_series_too_short():
-    with pytest.raises(ValueError, match="series of length 50 needs >= 100 entries"):
-        gamma_from_increments(np.ones(50), batch_length=10)
     with pytest.raises(ValueError, match="series of length 9 needs >= 10 entries"):
         gamma_from_increments(np.ones(9))
 

@@ -165,17 +165,18 @@ def test_log_moment_monte_carlo_cross_check():
 
 
 def test_couple_replay_bit_identical():
-    a = couple(1000, RngStream(4, 9), 0.25)
-    b = couple(1000, RngStream(4, 9), 0.25)
+    a = couple(1000, RngStream(4, 9))
+    b = couple(1000, RngStream(4, 9))
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.log_a2, b.log_a2)
     assert np.array_equal(a.log_b, b.log_b)
 
 
-def _couple_per_row(n: int, rng: RngStream, rho0: float):
-    # reference: one seek_row + normals(2) per step, the loop before rows()
+def _couple_per_row(n: int, rng: RngStream):
+    # reference: one seek_row + normals(2) per step from rho = 0, the loop before rows()
     rho, log_a2, log_b = np.empty(n + 1), np.empty(n + 1), np.zeros(n + 1)
-    r, la2 = rho0, math.log1p(-rho0 * rho0)
+    r = 0.0
+    la2 = math.log1p(-r * r)
     rho[0], log_a2[0] = r, la2
     for t in range(1, n + 1):
         rng.seek_row(t - 1)
@@ -191,47 +192,56 @@ def _couple_per_row(n: int, rng: RngStream, rho0: float):
 
 @pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 20_000])
 def test_couple_chunked_rows_match_per_row_loop(n):
-    tr = couple(n, RngStream(314, 15), 0.3)
-    rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15), 0.3)
+    tr = couple(n, RngStream(314, 15))
+    rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15))
     assert np.array_equal(tr.rho, rho)
     assert np.array_equal(tr.log_a2, log_a2)
     assert np.array_equal(tr.log_b, log_b)
 
 
 def test_couple_additive_identity_is_exact():
-    tr = couple(2000, RngStream(6, 0), 0.0)
+    tr = couple(2000, RngStream(6, 0))
     recomputed = tr.log_a2[0] + np.cumsum(tr.log_b[1:])
     assert np.array_equal(tr.log_a2[1:], np.array([tr.log_a2[k - 1] + tr.log_b[k] for k in range(1, 2001)]))
     assert np.allclose(tr.log_a2[1:], recomputed, rtol=0, atol=1e-9)
 
 
 def test_couple_rho_range_and_consistency():
-    tr = couple(3000, RngStream(7, 0), 0.0)
+    tr = couple(3000, RngStream(7, 0))
     assert np.all(tr.rho >= 0.0) and np.all(tr.rho <= 1.0)
     live = tr.log_a2 > -300.0
     a2 = 1.0 - tr.rho[live] ** 2
     assert np.max(np.abs(np.exp(tr.log_a2[live]) - a2)) <= 1e-9
 
 
-def test_couple_near_boundary_start():
-    tr = couple(500, RngStream(9, 0), 1.0 - 1e-15)
-    assert np.all(tr.rho >= 1.0 - 1e-12)
-    # increments must follow the limit form of the contraction functional
+def test_couple_starts_at_rho_zero():
+    tr = couple(10, RngStream(9, 0))
+    assert tr.rho[0] == 0.0
+    # log(1 - 0^2) as math.log1p(-0.0) gives it, so row 0 of trace.csv reads -0
+    assert tr.log_a2[0] == 0.0 and math.copysign(1.0, tr.log_a2[0]) == -1.0
+
+
+def test_couple_merged_steps_follow_the_limit_form():
+    # once a^2 is below 1e-16, rho rounds to 1 and F takes its limit form
+    tr = couple(2000, RngStream(9, 0))
+    merged = np.flatnonzero(tr.rho[:-1] == 1.0) + 1
+    assert merged.size > 1000
     rng = RngStream(9, 0)
-    rng.seek_row(0)
-    gw = rng.normals(2)
-    assert tr.log_b[1] == contraction_f(1.0, gw[0], gw[1])
+    for t in merged[[0, -1]]:
+        rng.seek_row(t - 1)
+        gw = rng.normals(2)
+        assert tr.log_b[t] == contraction_f(1.0, gw[0], gw[1])
 
 
 def test_couple_drift_below_eta_plus_slack():
-    tr = couple(5000, RngStream(10, 0), 0.0)
+    tr = couple(5000, RngStream(10, 0))
     assert tr.mean_log_b <= ETA + 0.05
 
 
 def test_couple_log_a2_slope_negative_across_seeds():
     negative = 0
     for stream in range(100):
-        tr = couple(5000, RngStream(11, stream), 0.0)
+        tr = couple(5000, RngStream(11, stream))
         if tr.log_a2[-1] < tr.log_a2[0]:
             negative += 1
     assert negative >= 99
@@ -239,10 +249,8 @@ def test_couple_log_a2_slope_negative_across_seeds():
 
 def test_couple_preconditions():
     with pytest.raises(ValueError):
-        couple(0, RngStream(0, 0), 0.0)
-    with pytest.raises(ValueError):
-        couple(10, RngStream(0, 0), 1.0)
+        couple(0, RngStream(0, 0))
     with pytest.raises(ValueError, match="cap"):
-        couple(COUPLE_STEP_CAP + 1, RngStream(0, 0), 0.0)
+        couple(COUPLE_STEP_CAP + 1, RngStream(0, 0))
     with pytest.raises(ValueError):
         contraction_f(1.5, 0.0, 0.0)
