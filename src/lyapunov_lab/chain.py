@@ -30,11 +30,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import alpha_bound
-from .errors import TruncationBudgetError
 from .laws import GAUSSIAN, CoefficientLaw, RngStream, sample_row
 
 __all__ = [
     "ChainRun",
+    "TruncationBudgetError",
     "weighted_norm",
     "run_chain",
     "chain_engine",
@@ -49,6 +49,10 @@ MIN_TRUNC_TOL = 1e-150  # its square is a normal double; below about 2e-162 tol 
 MAX_TRUNC_TOL = 1e-8  # looser tolerances drop visible mass: at 0.5 the support fell to 2
 CHAIN_STEP_CAP = 10**8  # the increments hold 8 bytes a step: 800 MB at the cap
 # the cap also keeps every row below 2^34, past which a row's Philox counter leaves its low 64-bit limb
+
+
+class TruncationBudgetError(RuntimeError):
+    """Cumulative tail mass dropped by truncation exceeded its budget (CLI exit 1)."""
 
 
 @dataclass

@@ -26,8 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, bounds, chain, estimators, gaussian, recursion, verification
-from .errors import DegenerateDivisorError, TruncationBudgetError
-from .laws import RngStream, law_from_name
+from .laws import CoefficientLaw, RngStream
 from .util import ordered_map
 
 __all__ = ["dispatch", "main"]
@@ -53,19 +52,22 @@ def _now(enabled: bool) -> Optional[str]:
 # the defaults of the flags that only the chain reads
 _CHAIN_FLAGS = {"c": 0.0, "trunc_tol": chain.DEFAULT_TRUNC_TOL}
 
-# per recursion model: the law it draws from, and the error for the other law
+# per model: its --law default, and for a recursion the error for the other law (the chain draws either)
 _LAWS = {
     "exact": ("bernoulli", "exact integer mode is defined for the bernoulli law only"),
     "vt": ("gaussian", "the division recursion draws gaussian coefficients; use --law gaussian"),
     "fib": ("bernoulli", "the two-term recursion draws sign coefficients; use --law bernoulli"),
+    "chain": ("bernoulli", None),
 }
 
 
 def _check_model(args) -> None:
-    """Refuse a law the model does not draw from, and a chain flag set off its default on another model."""
+    """Default --law to the model's law; refuse another law for a recursion, and a chain flag off its default."""
+    law, message = _LAWS[args.model]
+    if args.law is None:
+        args.law = law
     if args.model == "chain":
         return
-    law, message = _LAWS[args.model]
     if args.law != law:
         raise ValueError(message)
     for name, default in _CHAIN_FLAGS.items():
@@ -80,7 +82,6 @@ def _finite_or_none(x) -> Optional[float]:
 
 def _cmd_simulate(args) -> tuple[dict, dict]:
     _check_model(args)
-    law = law_from_name(args.law)
     rng = RngStream(args.seed, args.stream_id)
     if args.model == "exact":
         traj = recursion.run_exact(args.n, rng)
@@ -96,7 +97,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         results = {"model": "fib", "n": args.n, "rate": _finite_or_none(float(out[-1]) / args.n)}
         files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
     else:
-        run = chain.run_chain(law, args.n, rng, c=args.c, trunc_tol=args.trunc_tol)
+        run = chain.run_chain(CoefficientLaw(args.law), args.n, rng, c=args.c, trunc_tol=args.trunc_tol)
         results = {
             "model": "chain",
             "n": args.n,
@@ -122,10 +123,12 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
     """The estimate of one trajectory, drawn from stream `stream` of args.seed."""
     rng = RngStream(args.seed, stream)
     if args.model == "chain":
-        run = chain.run_chain(law_from_name(args.law), args.n, rng, c=args.c)
+        run = chain.run_chain(CoefficientLaw(args.law), args.n, rng, c=args.c)
         est = estimators.gamma_from_increments(run.increments)
         if args.c > 0.0:
-            return estimators.gamma_from_weighted_norm(est, float(run.weighted_offsets[-1]), args.n)
+            # the final state's norm: the last checkpoint is step n only where the stride divides n
+            log_weighted = math.log(chain.weighted_norm(run.coords, args.c))
+            return estimators.gamma_from_weighted_norm(est, log_weighted, args.n)
         return est
     log_norms = recursion.log_norms(args.model, args.n, rng)
     return estimators.gamma_from_increments(np.diff(log_norms))
@@ -195,8 +198,7 @@ def _cmd_lo(args) -> tuple[dict, dict]:
 
 
 def _cmd_tails(args) -> tuple[dict, dict]:
-    law = law_from_name(args.law)
-    stats = verification.tail_statistics(law, args.n, args.chains, args.seed)
+    stats = verification.tail_statistics(CoefficientLaw(args.law), args.n, args.chains, args.seed)
     results = {
         "alpha": stats["alpha"],
         "max_z": stats["max_z"],
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one trajectory of a model and dump its series")
     p.add_argument("--model", choices=["exact", "vt", "fib", "chain"], required=True)
-    p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
+    p.add_argument("--law", choices=["bernoulli", "gaussian"], help="default: the law the model draws from")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stream-id", type=_uint64, default=0)
     p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"], help="weight exponent (chain model)")
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="estimate a growth exponent with a confidence interval")
     p.add_argument("--model", choices=["chain", "exact", "fib", "vt"], required=True)
-    p.add_argument("--law", choices=["bernoulli", "gaussian"], default="bernoulli")
+    p.add_argument("--law", choices=["bernoulli", "gaussian"], help="default: the law the model draws from")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--c", type=_finite_float, default=_CHAIN_FLAGS["c"])
@@ -370,7 +372,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateDivisorError, TruncationBudgetError) as exc:
+    except (recursion.DegenerateDivisorError, chain.TruncationBudgetError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -20,7 +20,6 @@ __all__ = [
     "RngStream",
     "BERNOULLI",
     "GAUSSIAN",
-    "law_from_name",
     "sample_row",
     "sample_rows",
     "draws",
@@ -50,13 +49,6 @@ class CoefficientLaw(Enum):
 
 BERNOULLI = CoefficientLaw.BERNOULLI
 GAUSSIAN = CoefficientLaw.GAUSSIAN
-
-
-def law_from_name(name: str) -> CoefficientLaw:
-    try:
-        return CoefficientLaw(name)
-    except ValueError:
-        raise ValueError(f"unknown law {name!r}; expected 'bernoulli' or 'gaussian'") from None
 
 
 _BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick

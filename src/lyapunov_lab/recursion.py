@@ -22,11 +22,11 @@ from itertools import accumulate, compress
 
 import numpy as np
 
-from .errors import DegenerateDivisorError
 from .laws import BERNOULLI, ROW_CHUNK, RngStream, sample_row, sample_rows
 from .util import log_abs_bigint
 
 __all__ = [
+    "DegenerateDivisorError",
     "ExactTrajectory",
     "run_exact",
     "run_exact_float",
@@ -44,6 +44,13 @@ FIB_STEP_CAP = 10**8  # the series holds 8 bytes a step: 800 MB at the cap
 
 _RENORM_HI = 2.0**64
 _RENORM_LO = 2.0**-64
+
+
+class DegenerateDivisorError(RuntimeError):
+    """A divisor coefficient fell below the representable threshold (CLI exit 1).
+
+    Redrawing would bias the coefficient law, so the run is aborted instead.
+    """
 
 
 def _sign_row(rng: RngStream, step: int, k: int) -> np.ndarray:

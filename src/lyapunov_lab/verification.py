@@ -425,7 +425,7 @@ def check_theorem9_weighted(seed: int = DEFAULT_SEED) -> CheckResult:
     def one(jc: tuple[int, float]) -> tuple[float, bool]:
         j, c = jc
         est, run = _chain_gamma(BERNOULLI, n, seed, 300 + j, c=c)
-        offset = float(run.weighted_offsets[-1])
+        offset = math.log(chain.weighted_norm(run.coords, c))
         weighted = estimators.gamma_from_weighted_norm(est, offset, n)
         return abs(offset) / n, estimators.compare_rates(est, weighted).verdict
 

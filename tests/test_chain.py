@@ -11,10 +11,10 @@ from lyapunov_lab.chain import (
     DEFAULT_TRUNC_TOL,
     MAX_TRUNC_TOL,
     MIN_TRUNC_TOL,
+    TruncationBudgetError,
     run_chain,
     weighted_norm,
 )
-from lyapunov_lab.errors import TruncationBudgetError
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
 from lyapunov_lab.recursion import run_exact
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lyapunov_lab import chain, cli, gaussian, recursion, verification
+from lyapunov_lab import chain, cli, estimators, gaussian, recursion, verification
 from lyapunov_lab.chain import CHAIN_STEP_CAP
 from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import COUPLE_STEP_CAP
@@ -209,6 +210,17 @@ def test_gamma_chain_weighted_method(capsys):
     assert payload["method"] == "weighted_norm"
     assert payload["n_trajectories"] == 3
     assert payload["gamma_hat"] > 0
+
+
+def test_gamma_weighted_norm_is_read_at_step_n(capsys):
+    # the stride 100 does not divide n: the last checkpoint is step 10,000, one step short of n
+    n, c = 10_001, 0.005
+    code, out = _run(capsys, ["gamma", "--model", "chain", "--n", str(n), "--c", str(c), "--seed", "5"])
+    assert code == 0
+    run = chain.run_chain(BERNOULLI, n, RngStream(5, 0), c=c)
+    assert run.checkpoint_steps[-1] == n - 1
+    est = estimators.gamma_from_increments(run.increments)
+    assert json.loads(out)["gamma_hat"] == est.gamma_hat + math.log(chain.weighted_norm(run.coords, c)) / n
 
 
 def test_couple_trace(tmp_path, capsys):
@@ -529,6 +541,35 @@ def test_law_a_recursion_model_does_not_draw_exits_two(capsys, model, law):
         errors.append(captured.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: ") and "law" in errors[0]
+
+
+@pytest.mark.parametrize("model, law", _MODEL_LAWS)
+def test_law_defaults_to_the_one_the_model_draws(tmp_path, capsys, model, law):
+    for command in ("simulate", "gamma"):
+        runs = []
+        for given in ([], ["--law", law]):
+            out_dir = tmp_path / f"{command}-{len(given)}"
+            argv = [command, "--model", model, "--n", "300", *given, "--out", str(out_dir), "--no-timestamps"]
+            code, out = _run(capsys, argv)
+            assert code == 0, capsys.readouterr().err
+            runs.append((out, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1]["manifest.json"])["parameters"]["law"] == law
+
+
+def test_aborted_runs_exit_one(monkeypatch, capsys):
+    # a truncation budget no run fits, and a vt divisor below 1e-300
+    real = chain._check_run
+    monkeypatch.setattr(chain, "_check_run", lambda *args: real(*args) * 1e-300)
+
+    def degenerate(n, rng):
+        raise recursion.DegenerateDivisorError("|a[n,n]| below 1e-300")
+
+    monkeypatch.setattr(recursion, "run_vt", degenerate)
+    for model in ("chain", "vt"):
+        assert dispatch(["simulate", "--model", model, "--n", "300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("run aborted: "), captured.err
 
 
 def test_exact_step_cap_maps_to_usage_error(capsys):

@@ -1,19 +1,63 @@
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import lyapunov_lab
 
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = {m.name for m in pkgutil.iter_modules(lyapunov_lab.__path__)} - {"__main__"}  # importing it runs the CLI
+
+# a code span that opens with a dotted name, `module.name` or `lyapunov_lab.module[.name]`, and ends or opens a call
+_DOTTED = re.compile(r"`(\w+(?:\.\w+)+)[`(]")
+
 
 def test_every_exported_name_resolves():
-    modules = [lyapunov_lab] + [
-        importlib.import_module(f"lyapunov_lab.{m.name}")
-        for m in pkgutil.iter_modules(lyapunov_lab.__path__)
-        if m.name != "__main__"  # importing it runs the CLI
-    ]
-    assert len(modules) > 1  # the package path was walked
-    for module in modules:
+    assert len(MODULES) > 1  # the package path was walked
+    for m in sorted(MODULES):
+        module = importlib.import_module(f"lyapunov_lab.{m}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names {name!r}, which it lacks"
-    namespace: dict = {}
-    exec("from lyapunov_lab import *", namespace)
-    assert set(lyapunov_lab.__all__) <= namespace.keys()
+
+
+def test_importing_the_package_loads_no_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(lyapunov_lab.__file__).resolve().parents[1]))
+    code = "import sys, lyapunov_lab; print([m for m in sys.modules if m.startswith('lyapunov_lab.')])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def _package_names(text: str) -> tuple[list[str], list[str]]:
+    """(every package name in text's code spans, those that name no module or attribute)."""
+    found, missing = [], []
+    for ref in _DOTTED.findall(text):
+        parts = ref.split(".")
+        if parts[0] == "lyapunov_lab":
+            parts = parts[1:]
+        elif parts[0] not in MODULES:
+            continue  # not the package's: `manifest.json`, `RngStream.seek_row`, `0.5`
+        found.append(ref)
+        if parts[0] not in MODULES:
+            missing.append(ref)
+            continue
+        obj = importlib.import_module(f"lyapunov_lab.{parts[0]}")
+        for attr in parts[1:]:
+            if not hasattr(obj, attr):
+                missing.append(ref)
+                break
+            obj = getattr(obj, attr)
+    return found, missing
+
+
+def test_docs_name_only_package_names_that_exist():
+    total = 0
+    for doc in ("README.md", "docs/manifest.md"):
+        found, missing = _package_names((ROOT / doc).read_text())
+        assert missing == [], doc
+        total += len(found)
+    assert total >= 10  # the pattern still finds the references the docs hold
+    stale = "`lyapunov_lab.errors` holds them; `laws.law_from_name(name)` and `chain.run_chain` resolve"
+    assert _package_names(stale)[1] == ["lyapunov_lab.errors", "laws.law_from_name"]

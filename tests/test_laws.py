@@ -14,7 +14,6 @@ from lyapunov_lab.laws import (
     RngStream,
     _uniforms,
     draws,
-    law_from_name,
     sample_row,
     sample_rows,
 )
@@ -34,10 +33,10 @@ def test_jensen_holds_for_both_laws():
 def test_law_from_name():
     assert list(CoefficientLaw) == [BERNOULLI, GAUSSIAN]
     for law in CoefficientLaw:
-        assert law_from_name(law.value) is law
+        assert CoefficientLaw(law.value) is law
     assert (BERNOULLI.value, GAUSSIAN.value) == ("bernoulli", "gaussian")
-    with pytest.raises(ValueError, match="unknown law 'cauchy'"):
-        law_from_name("cauchy")
+    with pytest.raises(ValueError, match="'cauchy' is not a valid CoefficientLaw"):
+        CoefficientLaw("cauchy")
 
 
 def test_bernoulli_support():
