@@ -128,7 +128,7 @@ def _gamma_one(args, stream: int) -> estimators.GrowthEstimate:
         if args.c > 0.0:
             # the final state's norm: the last checkpoint is step n only where the stride divides n
             log_weighted = math.log(chain.weighted_norm(run.coords, args.c))
-            return estimators.gamma_from_weighted_norm(est, log_weighted, args.n)
+            return estimators.GrowthEstimate(est.gamma_hat + log_weighted / args.n, est.stderr)
         return est
     log_norms = recursion.log_norms(args.model, args.n, rng)
     return estimators.gamma_from_increments(np.diff(log_norms))

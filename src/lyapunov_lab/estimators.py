@@ -1,4 +1,4 @@
-"""Growth-rate estimators: batch means of log-norm increments, pooling and comparison."""
+"""Growth-rate estimators: batch means of log-norm increments and pooling."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ import numpy as np
 
 __all__ = [
     "GrowthEstimate",
-    "RateComparison",
     "gamma_from_increments",
     "gamma_from_last_coordinate",
-    "gamma_from_weighted_norm",
-    "compare_rates",
     "pool_estimates",
 ]
 
@@ -25,12 +22,6 @@ class GrowthEstimate:
 
     gamma_hat: float
     stderr: float
-
-
-@dataclass(frozen=True)
-class RateComparison:
-    z_score: float
-    verdict: bool
 
 
 def gamma_from_increments(increments: np.ndarray) -> GrowthEstimate:
@@ -64,7 +55,7 @@ def gamma_from_last_coordinate(log_series: np.ndarray) -> GrowthEstimate:
     is the plain regression one, which ignores the strong dependence of
     the residuals: pool several trajectories for an interval.
     """
-    # theorem1_rates' statistic of log|X_n| itself; perfbench/tracing.py times it
+    # benchmark v2 deletes this: perfbench/tracing.py and probes.py time it
     y_all = np.asarray(log_series, dtype=float)
     n = y_all.size - 1
     if n < 100:
@@ -85,25 +76,6 @@ def gamma_from_last_coordinate(log_series: np.ndarray) -> GrowthEstimate:
     resid = y - (intercept + slope * k)
     stderr = math.sqrt(float(resid @ resid) / (m - 2) / skk)
     return GrowthEstimate(slope, stderr)
-
-
-def gamma_from_weighted_norm(est: GrowthEstimate, log_weighted_norm: float, n: int) -> GrowthEstimate:
-    """Rate of the weighted norm of an n-step run: gamma_hat + log ||Z_n||_c / n, with est's stderr."""
-    return GrowthEstimate(est.gamma_hat + log_weighted_norm / n, est.stderr)
-
-
-def compare_rates(a: GrowthEstimate, b: GrowthEstimate) -> RateComparison:
-    """Three-sigma consistency verdict on two rate estimates."""
-    if not (math.isfinite(a.gamma_hat) and math.isfinite(b.gamma_hat)):
-        raise ValueError("rate estimates must be finite")
-    diff = a.gamma_hat - b.gamma_hat
-    joint = math.hypot(a.stderr, b.stderr)
-    if joint == 0.0:
-        z = 0.0 if diff == 0.0 else math.inf
-    else:
-        z = diff / joint
-    verdict = abs(diff) <= 3.0 * joint
-    return RateComparison(z_score=z, verdict=verdict)
 
 
 def pool_estimates(estimates: Sequence[GrowthEstimate]) -> GrowthEstimate:

@@ -104,6 +104,7 @@ def run_exact_float(n: int, rng: RngStream) -> np.ndarray:
     is rescaled whenever its magnitude exceeds 2^64, and the log of the
     scale factors is added back at the end.
     """
+    # benchmark v2 deletes this: perfbench/tracing.py times it under recursion
     if n < 1:
         raise ValueError("n must be >= 1")
     vals = np.empty(n + 1)

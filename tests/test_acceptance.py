@@ -8,10 +8,13 @@ Seeds are frozen; reruns are bit-identical.
 import dataclasses
 import inspect
 import math
+import textwrap
 import time
 
 import numpy as np
+import pytest
 
+from lyapunov_lab import chain, recursion
 from lyapunov_lab import verification as V
 
 
@@ -20,6 +23,30 @@ def _report(check):
     print()
     print(line)
     assert check.passed, line
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    """Rebind module.name to its own source with the text `old` replaced by `new`: one plausible defect."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} is not one line of {name}"
+    scope = dict(vars(module))
+    exec(source.replace(old, new), scope)
+    monkeypatch.setattr(module, name, scope[name])
+
+
+@pytest.fixture
+def reference_up_to_4000(monkeypatch):
+    """run_chain through the reference loop for n <= 4000, where a mutation of _step, _truncate or weighted_norm shows.
+
+    Longer runs keep the compiled kernel, so a check's 1e6-step chain still takes under a second.
+    """
+    run_chain, kernel = chain.run_chain, chain._kernel
+
+    def run(law, n, *args, **kwargs):
+        monkeypatch.setattr(chain, "_kernel", (lambda: None) if n <= 4000 else kernel)
+        return run_chain(law, n, *args, **kwargs)
+
+    monkeypatch.setattr(chain, "run_chain", run)
 
 
 def test_every_check_is_a_function_of_the_seed_alone():
@@ -74,8 +101,6 @@ def test_c02_vt_limit():
 
 def test_c02_vt_check_is_not_vacuous(monkeypatch):
     # a run_vt whose rate is log 4 + 0.03: inside the old +-0.07 band, but many batch-means se out
-    from lyapunov_lab import recursion
-
     def drifted(n, rng):
         return np.concatenate(([0.0], np.cumsum(math.log(4.0) + 0.03 + rng.normals(n))))
 
@@ -93,8 +118,27 @@ def test_c04_rate_equality_exact_vs_chain():
     _report(V.check_theorem1_rates())
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("_step", "rng.seek_row(step)", "rng.seek_row(step + 1)"),  # step t reads row t + 1
+        ("_truncate", "coords = coords[: coords.size - j]", "coords = coords[j:]"),  # drops the newest coordinates
+    ],
+)
+def test_c04_theorem1_fails_on_a_mutated_chain(monkeypatch, reference_up_to_4000, name, old, new):
+    _mutate(monkeypatch, chain, name, old, new)
+    check = V.check_theorem1_rates()
+    assert not check.passed, V.format_line(check)
+
+
 def test_c05_weighted_rate_equality():
     _report(V.check_theorem9_weighted())
+
+
+def test_c05_theorem9_fails_on_mutated_weights(monkeypatch, reference_up_to_4000):
+    _mutate(monkeypatch, chain, "weighted_norm", "np.exp(c * ", "np.exp(1.01 * c * ")  # weights e^(1.01 c i)
+    check = V.check_theorem9_weighted()
+    assert not check.passed, V.format_line(check)
 
 
 def test_c06_coordinate_tail_bound():
@@ -132,3 +176,10 @@ def test_c09_coupling_contraction():
 
 def test_c10_exact_path_determinism():
     _report(V.check_exact_determinism())
+
+
+def test_c10_exact_determinism_fails_on_a_mutated_fib_scale(monkeypatch):
+    # fib_rate_oracle passes this defect at z = 2.97
+    _mutate(monkeypatch, recursion, "run_fibonacci", "log_scale += math.log(m)", "log_scale += 1.01 * math.log(m)")
+    check = V.check_exact_determinism()
+    assert not check.passed, V.format_line(check)

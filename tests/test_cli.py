@@ -220,7 +220,9 @@ def test_gamma_weighted_norm_is_read_at_step_n(capsys):
     run = chain.run_chain(BERNOULLI, n, RngStream(5, 0), c=c)
     assert run.checkpoint_steps[-1] == n - 1
     est = estimators.gamma_from_increments(run.increments)
-    assert json.loads(out)["gamma_hat"] == est.gamma_hat + math.log(chain.weighted_norm(run.coords, c)) / n
+    summary = json.loads(out)
+    assert summary["gamma_hat"] == est.gamma_hat + math.log(chain.weighted_norm(run.coords, c)) / n
+    assert summary["stderr"] == est.stderr
 
 
 def test_couple_trace(tmp_path, capsys):

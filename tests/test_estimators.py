@@ -8,10 +8,8 @@ import hypothesis.strategies as st
 from lyapunov_lab import recursion
 from lyapunov_lab.estimators import (
     GrowthEstimate,
-    compare_rates,
     gamma_from_increments,
     gamma_from_last_coordinate,
-    gamma_from_weighted_norm,
     pool_estimates,
 )
 from lyapunov_lab.laws import RngStream
@@ -112,28 +110,6 @@ def test_minus_inf_entries_excluded():
     b = gamma_from_last_coordinate(y_broken)
     assert abs(a.gamma_hat - b.gamma_hat) < 0.05
     assert np.isfinite(b.gamma_hat)
-
-
-def test_compare_rates_trivia():
-    e1 = GrowthEstimate(0.5, 0.01)
-    same = compare_rates(e1, e1)
-    assert same.verdict and same.z_score == 0.0
-    e2 = GrowthEstimate(0.8, 0.01)
-    apart = compare_rates(e1, e2)
-    assert not apart.verdict
-    assert abs(apart.z_score) > 20
-
-
-def test_weighted_norm_rate_adds_the_offset_over_n():
-    est = GrowthEstimate(0.25, 0.01)
-    assert gamma_from_weighted_norm(est, -2.0, 1000) == GrowthEstimate(0.25 - 2.0 / 1000, 0.01)
-
-
-def test_compare_rates_requires_finite():
-    e1 = GrowthEstimate(float("nan"), 0.01)
-    e2 = GrowthEstimate(0.5, 0.01)
-    with pytest.raises(ValueError):
-        compare_rates(e1, e2)
 
 
 def test_pool_estimates():
