@@ -84,9 +84,9 @@ def verify_alpha_mc(
 ) -> McCheck:
     """Monte Carlo check of E[(1 + <eps, y>^2)^(-1/2)] <= alpha for unit y.
 
-    Draws `samples` fresh coefficient rows; passes when the empirical mean
-    is below alpha + 3 standard errors, with alpha the bound for the law's
-    own moments.
+    Draws `samples` fresh coefficient rows, samples * y.size consecutive
+    words, in one pass; passes when the empirical mean is below alpha + 3
+    standard errors, with alpha the bound for the law's own moments.
     """
     y = np.asarray(y, dtype=float)
     if abs(float(np.linalg.norm(y)) - 1.0) > 1e-12:
@@ -95,19 +95,11 @@ def verify_alpha_mc(
         raise ValueError("need at least 2 samples")
     alpha = alpha_bound(law.sigma2, law.fourth_moment).alpha
 
-    k = y.size
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    block = max(1, (1 << 22) // max(k, 1))  # bound the (block, k) draw matrix
-    while done < samples:
-        b = min(block, samples - done)
-        eps = sample_row(law, rng, b * k).reshape(b, k)
-        g = eps @ y
-        vals = 1.0 / np.sqrt(1.0 + g * g)
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-        done += b
+    eps = sample_row(law, rng, samples * y.size).reshape(samples, y.size)
+    g = eps @ y
+    vals = 1.0 / np.sqrt(1.0 + g * g)
+    total = float(vals.sum())
+    total_sq = float(vals @ vals)
     mean = total / samples
     var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     stderr = math.sqrt(var / samples)

@@ -39,8 +39,10 @@ DEFAULT_SEED = 1_000_003
 GAMMA_FIB_ORACLE = math.log(1.13198824)
 """Growth rate of the random Fibonacci recursion f[k+1] = +-f[k] +- f[k-1]:
 the log of Viswanath's constant 1.13198824..., 0.1239756 (Viswanath,
-Math. Comp. 69, 2000). scripts/calibrate_fib_rate.py cross-checks it with
-exact big integers (ten runs of 3e5 steps gave 0.12387 +- 0.00021)."""
+Math. Comp. 69, 2000). Two checks back it together: fib_rate_oracle puts
+the float rate of recursion.log_norms("fib") within 3 se of it, and
+exact_determinism requires those log norms to equal the big-integer
+recursion on the same rows to within IDENTITY_TOL."""
 
 TAIL_MAX_INDEX = 50  # tail_statistics compares the tail means at indices 0..50 with alpha^i
 TAIL_CELL_CAP = 10**8  # tail_statistics keeps chains x (TAIL_MAX_INDEX + 1) floats: 800 MB at the cap

@@ -1,0 +1,60 @@
+"""Golden digests: the sha256 of the raw float64 bytes of small runs.
+
+Same seed, same parameters, same numbers. test_laws.py pins the Philox
+words and run_exact's integers; these digests pin what numpy, scipy's
+ndtri, libm and the compiler flags add on top of them: the chain under
+both laws with and without weights, the fib and vt recursions and the
+coupling trace. Both chain engines give the same bytes. A digest that
+fails after an upgrade or on another host is a finding about that
+environment, not a reason to re-record it; a change that means to move
+these numbers says so and records the new digests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from lyapunov_lab.chain import run_chain
+from lyapunov_lab.gaussian import couple
+from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
+from lyapunov_lab.recursion import run_fibonacci, run_vt
+
+SEED = 1_000_003
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "law, c, stream, digest",
+    [
+        (BERNOULLI, 0.0, 830, "194904a82e5be0c4a134b3d45b18e7da8d0e5f03d434b0c36f92ede9484438e1"),
+        (BERNOULLI, 0.005, 831, "e0be0445e0918b7c26be8111aa2d79f507480050c8578e1d170770af3027bf78"),
+        (GAUSSIAN, 0.0, 832, "296801e73af99ee9180ca68cbb06405ef92630215d5009acf6e996bdb3982e98"),
+        (GAUSSIAN, 0.005, 833, "c8652bfee83033f9a3faf0760bf465876e729ee6f4bf6a34bcdbeb43f30f9a41"),
+    ],
+    ids=["bernoulli-c0", "bernoulli-c0.005", "gaussian-c0", "gaussian-c0.005"],
+)
+def test_chain_run_is_pinned(law, c, stream, digest):
+    run = run_chain(law, 2000, RngStream(SEED, stream), c=c)
+    assert _sha256(run.increments, run.weighted_offsets, run.tail_means, run.coords) == digest
+
+
+def test_fibonacci_run_is_pinned():
+    out = run_fibonacci(2000, RngStream(SEED, 834))
+    assert _sha256(out) == "51ee60091f869a85f2347ee577c5b4bd58c89cf84b8db3735cdba9e9ce4c1e32"
+
+
+def test_vt_run_is_pinned():
+    out = run_vt(300, RngStream(SEED, 835))
+    assert _sha256(out) == "294b5c86c0f7822c85dbaf68caf7b1bef5b802d5ee64fd8966e79df3b4af0b27"
+
+
+def test_coupling_trace_is_pinned():
+    trace = couple(2000, RngStream(SEED, 836))
+    assert _sha256(trace.rho, trace.log_a2, trace.log_b) == "da191583f8edc2de1a5fb07a6489e4e816d6d44e7c50a2cc3e10fc524095f066"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from lyapunov_lab import laws
 from lyapunov_lab.laws import (
     BERNOULLI,
     GAUSSIAN,
@@ -49,6 +50,28 @@ def test_bernoulli_second_moment_exact():
     rng = RngStream(2024, 1)
     draws = sample_row(BERNOULLI, rng, 1_000_000)
     assert float(np.mean(draws * draws)) == 1.0
+
+
+def _sign_mean_z() -> list[float]:
+    """sqrt(N) times the mean of N fair signs, by the per-row and the block path.
+
+    1e6 signs from sample_row on stream 900, and 5e5 from sample_rows as
+    250,000 rows of 2 words, fib's shape, on stream 901. Each is about N(0, 1).
+    """
+    per_row = sample_row(BERNOULLI, RngStream(1_000_003, 900), 1_000_000)
+    block = sample_rows(BERNOULLI, RngStream(1_000_003, 901), 0, 250_000, 2)
+    return [float(np.mean(s)) * math.sqrt(s.size) for s in (per_row, block)]
+
+
+def test_sign_mean_within_4_se():
+    assert all(abs(z) <= 4.0 for z in _sign_mean_z())
+
+
+def test_sign_mean_fails_on_biased_signs(monkeypatch):
+    # P(+1) = 0.53 moves the mean to 0.06: z of about 60 and 42
+    cut = np.uint64(int(0.53 * 2**64))
+    monkeypatch.setattr(laws, "_signs", lambda w: np.where(w < cut, 1.0, -1.0))
+    assert all(abs(z) > 4.0 for z in _sign_mean_z())
 
 
 def test_gaussian_mean_within_band():

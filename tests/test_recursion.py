@@ -105,7 +105,7 @@ def test_parity_invariant_any_signs(signs):
 def test_vt_step_cap():
     with pytest.raises(ValueError, match="cap"):
         run_vt(VT_STEP_CAP + 1, RngStream(0))
-    assert VT_STEP_CAP >= 10_000  # check_vt_log4 and growth_rate_survey.py run n = 10,000
+    assert VT_STEP_CAP >= 10_000  # check_vt_log4 runs n = 10,000
 
 
 def test_exact_step_cap():
