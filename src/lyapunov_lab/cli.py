@@ -217,7 +217,7 @@ def _cmd_tails(args) -> tuple[dict, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict]:
-    checks = verification.run_suite(args.suite, args.seed)
+    checks = verification.run_suite(args.suite)
     for cr in checks:
         print(verification.format_line(cr))
     failed = sum(1 for c in checks if not c.passed)
@@ -275,10 +275,14 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def _add_common(p: argparse.ArgumentParser, seed_default: int = 0) -> None:
-    p.add_argument("--seed", type=_uint64, default=seed_default, help="64-bit unsigned seed")
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_out_dir, default=None, help="output directory for the manifest and data CSVs")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps for byte-identical reruns")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_uint64, default=0, help="64-bit unsigned seed")
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,12 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tails)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument(
-        "--suite",
-        choices=["paper-constants", "inequalities", "consistency", "all"],
-        default="all",
-    )
-    _add_common(p, seed_default=verification.DEFAULT_SEED)
+    p.add_argument("--suite", choices=[*verification.SUITES, "all"], default="all")
+    _add_output(p)  # no --seed: every check draws from verification.SEED
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -398,7 +398,7 @@ def dispatch(argv: Sequence[str]) -> int:
             manifest = {
                 "command": args.command,
                 "parameters": params,
-                "seed": args.seed,
+                "seed": getattr(args, "seed", None),  # verify takes none
                 "artifact_version": __version__,
                 "started_at": started,
                 "finished_at": _now(not args.no_timestamps),

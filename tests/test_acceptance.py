@@ -49,12 +49,34 @@ def reference_up_to_4000(monkeypatch):
     monkeypatch.setattr(chain, "run_chain", run)
 
 
-def test_every_check_is_a_function_of_the_seed_alone():
-    # sizes, streams and tolerances are fixed in each check's body
-    checks = [getattr(V, name) for name in dir(V) if name.startswith("check_")]
-    assert len(checks) == 17
-    for check in checks:
-        assert list(inspect.signature(check).parameters) in ([], ["seed"]), check.__name__
+def _check_names():
+    return [name for name in dir(V) if name.startswith("check_")]
+
+
+def test_every_check_takes_no_argument():
+    # the seed, streams, sizes and tolerances are fixed in each check's body
+    assert len(_check_names()) == 17
+    for name in _check_names():
+        assert list(inspect.signature(getattr(V, name)).parameters) == [], name
+
+
+def test_every_check_is_in_exactly_one_suite():
+    listed = [f"check_{name}" for suite in V.SUITES.values() for name in suite]
+    assert sorted(listed) == _check_names()
+
+
+def test_run_suite_returns_the_table_in_order(monkeypatch):
+    # each check is looked up by name when it runs, so a stub stands in for it
+    for name in _check_names():
+        stub = V.CheckResult(name[len("check_"):], "x", "x", "0", True)
+        monkeypatch.setattr(V, name, lambda stub=stub: stub)
+    table = [name for suite in V.SUITES.values() for name in suite]
+    assert [c.name for c in V.run_suite("all")] == table
+    assert all(c.elapsed_s >= 0.0 for c in V.run_suite("all"))
+    for suite, names in V.SUITES.items():
+        assert [c.name for c in V.run_suite(suite)] == list(names)
+    with pytest.raises(ValueError, match="unknown suite"):
+        V.run_suite("bogus")
 
 
 def test_c01_eta_constant():
@@ -111,7 +133,7 @@ def test_c02_vt_check_is_not_vacuous(monkeypatch):
 
 
 def test_c03_gaussian_rate_equals_lambda_v():
-    _report(V.check_gaussian_rate())
+    _report(V.check_gaussian_rate_lambda_v())
 
 
 def test_c04_rate_equality_exact_vs_chain():
@@ -164,9 +186,28 @@ def test_c07_two_coord_enum_fails_on_biased_signs(monkeypatch):
     assert not check.passed, V.format_line(check)
 
 
+@pytest.mark.parametrize("name", ["check_alpha_two_coord_enum", "check_alpha_dominates_mc"])
+def test_c07_constant_signs_fail_instead_of_raising(monkeypatch, name):
+    # every sign +1 makes <eps, y> one value in every sample, so a Monte Carlo
+    # se is 0: the check must print a FAIL line with z = inf, not raise ZeroDivisionError
+    from lyapunov_lab import laws
+
+    monkeypatch.setattr(laws, "_signs", lambda w: np.ones(w.shape))
+    check = getattr(V, name)()
+    assert "inf" in check.observed + check.details
+    assert not check.passed, V.format_line(check)
+
+
+def test_a_zero_standard_error_gives_z_inf():
+    # theorem1_rates, fib_rate_oracle, vt_log4 and gaussian_rate_lambda_v take their z from here too
+    assert V._z(0.3, 0.1) == pytest.approx(3.0)
+    for diff, se in [(1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (0.0, math.nan)]:
+        assert V._z(diff, se) == math.inf
+
+
 def test_c08_signed_sum_atoms():
     _report(V.check_lo_bruteforce())
-    _report(V.check_lo_erdos())
+    _report(V.check_lo_erdos_all_ones())
     _report(V.check_lo_sarkozy_echo())
 
 

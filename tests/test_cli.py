@@ -348,6 +348,8 @@ def test_module_entry_points():
         (["simulate", "--model", "exact"], "the following arguments are required: --n"),
         (["gamma", "--model", "fib"], "the following arguments are required: --n"),
         (["couple"], "the following arguments are required: --n"),
+        # every verify check runs at its own fixed seed
+        (["verify", "--seed", "5"], "unrecognized arguments: --seed"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, message):
@@ -422,7 +424,6 @@ def _out_of_domain_cases() -> st.SearchStrategy:
         ["couple", "--n", "10"],
         ["lo", "--coeffs", "1,2"],
         ["tails", "--chains", "2"],
-        ["verify", "--suite", "inequalities"],
     ]
     for argv in valid:
         cases.append(_bad(argv, "--seed", _BAD_UINT64))
@@ -637,12 +638,12 @@ def test_verify_all_computes_eta_once(monkeypatch, capsys):
     # the simulations are stubbed; the quadrature, bound and enumeration
     # checks run for real, and only eta_value may scan rho
     for name in (
-        "check_vt_log4", "check_fib_rate", "check_alpha_dominates_mc", "check_corollary8_tails",
-        "check_theorem1_rates", "check_theorem9_weighted", "check_gaussian_rate",
+        "check_vt_log4", "check_fib_rate_oracle", "check_alpha_dominates_mc", "check_corollary8_tails",
+        "check_theorem1_rates", "check_theorem9_weighted", "check_gaussian_rate_lambda_v",
         "check_coupling_contraction", "check_exact_determinism",
     ):  # fmt: skip
         stub = verification.CheckResult(name, "x", "x", "0", True)
-        monkeypatch.setattr(verification, name, lambda *a, stub=stub, **k: stub)
+        monkeypatch.setattr(verification, name, lambda stub=stub: stub)
     monkeypatch.setattr(gaussian, "eta", counted)
     dispatch(["verify", "--suite", "all"])
     out = capsys.readouterr().out
@@ -695,9 +696,9 @@ def test_gamma_of_other_models_records_no_engine(capsys):
 
 def test_verify_reports_the_time_of_each_check(tmp_path, capsys, monkeypatch):
     # the two simulations of the suite are stubbed; the quadrature checks run for real
-    for name in ("check_vt_log4", "check_fib_rate"):
+    for name in ("check_vt_log4", "check_fib_rate_oracle"):
         stub = verification.CheckResult(name, "x", "x", "0", True)
-        monkeypatch.setattr(verification, name, lambda *a, stub=stub, **k: stub)
+        monkeypatch.setattr(verification, name, lambda stub=stub: stub)
     argv = ["verify", "--suite", "paper-constants", "--out"]
     assert dispatch(argv + [str(tmp_path / "timed")]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS]")]
@@ -707,6 +708,7 @@ def test_verify_reports_the_time_of_each_check(tmp_path, capsys, monkeypatch):
     assert [float(row["elapsed_s"]) >= 0.0 for row in rows] == [True] * 6
     manifest = json.loads((tmp_path / "timed" / "manifest.json").read_text())
     assert manifest["results"]["chain_engine"] == chain.chain_engine()
+    assert manifest["parameters"] == {"suite": "paper-constants"} and manifest["seed"] is None  # verify takes no seed
     # --no-timestamps leaves the times out, so a replay is byte-identical
     assert dispatch(argv + [str(tmp_path / "untimed"), "--no-timestamps"]) == 0
     with open(tmp_path / "untimed" / "checks.csv") as fh:

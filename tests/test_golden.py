@@ -3,19 +3,22 @@
 Same seed, same parameters, same numbers. test_laws.py pins the Philox
 words and run_exact's integers; these digests pin what numpy, scipy's
 ndtri, libm and the compiler flags add on top of them: the chain under
-both laws with and without weights, the fib and vt recursions and the
-coupling trace. Both chain engines give the same bytes. A digest that
-fails after an upgrade or on another host is a finding about that
-environment, not a reason to re-record it; a change that means to move
-these numbers says so and records the new digests.
+both laws with and without weights, the fib and vt recursions, the
+coupling trace, and the estimate that `gamma` prints for each model.
+Both chain engines give the same bytes. A digest that fails after an
+upgrade or on another host is a finding about that environment, not a
+reason to re-record it; a change that means to move these numbers says
+so and records the new digests.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from lyapunov_lab.chain import run_chain
+from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import couple
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
 from lyapunov_lab.recursion import run_fibonacci, run_vt
@@ -58,3 +61,22 @@ def test_vt_run_is_pinned():
 def test_coupling_trace_is_pinned():
     trace = couple(2000, RngStream(SEED, 836))
     assert _sha256(trace.rho, trace.log_a2, trace.log_b) == "da191583f8edc2de1a5fb07a6489e4e816d6d44e7c50a2cc3e10fc524095f066"
+
+
+# gamma's estimates are floats, not arrays: pinned as the literals it printed
+@pytest.mark.parametrize(
+    "flags, gamma_hat, stderr",
+    [
+        ("chain --law bernoulli --n 2000", 0.27445743213615414, 0.0054334518345436345),
+        ("chain --law bernoulli --n 2000 --c 0.005", 0.2744605074055841, 0.0054334518345436345),
+        ("chain --law gaussian --n 2000", 0.2610250580871182, 0.006094323895941177),
+        ("chain --law gaussian --n 2000 --c 0.005", 0.2610295868650084, 0.006094323895941177),
+        ("fib --n 2000", 0.11993199853081668, 0.00794844878802818),
+        ("exact --n 200", 0.2329684767917958, 0.020577963075803223),
+        ("vt --n 300", 1.546834795344476, 0.11578718340128318),
+    ],
+)
+def test_gamma_estimate_is_pinned(capsys, flags, gamma_hat, stderr):
+    assert dispatch(["gamma", "--model", *flags.split(), "--seed", str(SEED)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["gamma_hat"], result["stderr"]) == (gamma_hat, stderr)
