@@ -1,34 +1,41 @@
-/* One trajectory of chain.run_chain in compiled code, bit for bit.
+/* The two loops of the package that run in compiled code, bit for bit:
+ * one trajectory of chain.run_chain (chain_run) and one run of the random
+ * Fibonacci recursion of recursion.run_fibonacci (fib_run).
  *
- * Same Philox-4x64-10 words as laws.RngStream (key (seed, stream), word
- * 4j+i of row t is word i of the block at counter t*2^30 + j + 1), same
- * draws (a sign from the top bit, looked up as laws._signs does, and a
- * normal from scipy's ndtri of the uniform of the top 53 bits, as
- * laws._uniforms), and the same float operations in the same order as
- * chain._step and chain._truncate: every sum runs term by term from x[0],
- * as chain._seq_sum does.
+ * Both draw the same Philox-4x64-10 words as laws.RngStream (key (seed,
+ * stream), word 4j+i of row t is word i of the block at counter
+ * t*2^30 + j + 1) and a sign from the top bit, looked up as laws._signs
+ * does. The chain also draws a normal from scipy's ndtri of the uniform of
+ * the top 53 bits, as laws._uniforms, and runs the same float operations
+ * in the same order as chain._step and chain._truncate: every sum runs
+ * term by term from x[0], as chain._seq_sum does.
  *
- * A step draws its row ROW_CHUNK coordinates at a time, the Philox blocks
- * first and then their signs (a table lookup, not a branch on a random
- * bit) or normals, and only then adds row[i] * v[i] into g, carried from
- * chunk to chunk in index order: the blocks and ndtri calls, independent
- * of one another, overlap out of order instead of waiting on the adds.
+ * A chain step draws its row ROW_CHUNK coordinates at a time, the Philox
+ * blocks first and then their signs (a table lookup, not a branch on a
+ * random bit) or normals, and only then adds row[i] * v[i] into g, carried
+ * from chunk to chunk in index order: the blocks and ndtri calls,
+ * independent of one another, overlap out of order instead of waiting on
+ * the adds.
  *
  * Built with -O3 -ffp-contract=off and no fast-math: no product and sum
  * fuse into one rounding, and GCC reorders a floating-point sum only
  * under -fassociative-math. -O3 vectorizes the elementwise loops (the
  * divides, the |z| tail sums), exact per lane, and the products of the
  * sums, whose terms it still adds one by one in index order (an in-order,
- * "fold-left", reduction).
+ * "fold-left", reduction). log, log1p and sqrt are libm's, as Python's
+ * math module takes them.
  *
- * z holds the state newest first in z[front .. front+k-1] of a buffer of
- * cap entries; a step prepends at front - 1. The caller decides the
- * bookkeeping: the weighted norm is stored after every stride-th step,
+ * Chain: z holds the state newest first in z[front .. front+k-1] of a
+ * buffer of cap entries; a step prepends at front - 1. The caller decides
+ * the bookkeeping: the weighted norm is stored after every stride-th step,
  * and |z| is summed into tail after every step past half. The run resumes
  * from the state in ist = {t, front, k, tail_len} and dst = {log_norm,
  * dropped} and returns the step it stopped at: n, or an earlier step when
  * the buffer must grow, after which the caller moves the block into a
  * larger buffer and calls again.
+ *
+ * Fibonacci: step k reads words 0 and 1 of row k, one Philox block, and
+ * is the loop of recursion._fibonacci_reference written out in C.
  */
 #include <math.h>
 #include <stdint.h>
@@ -150,4 +157,25 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, int
     ist[0] = t, ist[1] = front, ist[2] = k, ist[3] = tail_len;
     dst[0] = log_norm, dst[1] = dropped;
     return t;
+}
+
+void fib_run(uint64_t seed, uint64_t stream, int64_t n, double *out)
+{
+    double a = 1.0, b = 1.0, log_scale = 0.0;  /* (f[k], f[k-1]), renormalized */
+    for (int64_t k = 1; k < n; k++) {
+        uint64_t word[4];
+        philox(((uint64_t)k << 30) + 1, seed, stream, word);
+        double e0 = sign_of_top_bit[word[0] >> 63], e1 = sign_of_top_bit[word[1] >> 63];
+        double next = e0 * a + e1 * b;
+        b = a;
+        a = next;
+        double aa = fabs(a), ab = fabs(b);
+        out[k + 1] = log_scale + (aa > 0.0 ? log(aa) : -INFINITY);
+        double m = ab > aa ? ab : aa;
+        if (m > 0x1p64 || m < 0x1p-64) {
+            a /= m;
+            b /= m;
+            log_scale += log(m);
+        }
+    }
 }

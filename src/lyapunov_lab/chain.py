@@ -176,11 +176,15 @@ def run_chain(
     budget = _check_run(law, n, c, trunc_tol)
     stride = max(1, n // 100)
     half = n // 2  # the tail sums cover steps half+1 .. n
-    kernel = _kernel()
+    kernel, ndtri = _kernel(), None
+    if kernel is not None and law is GAUSSIAN:
+        ndtri = _ndtri_address()
+        if ndtri is None:
+            kernel = None
     if kernel is None:
         parts = _run_reference(law, n, rng, c, trunc_tol, stride, half)
     else:
-        parts = _run_compiled(kernel, law, n, rng, c, trunc_tol, stride, half)
+        parts = _run_compiled(kernel.chain_run, ndtri, n, rng, c, trunc_tol, stride, half)
     increments, norms, tail_sums, coords, log_norm, dropped = parts
     if dropped > budget:
         raise TruncationBudgetError(f"dropped l2 mass {dropped:.3e} exceeds budget {budget:.3e}")
@@ -237,19 +241,24 @@ _KERNEL_ROWS = 512  # initial state buffer; the live support settles near 110-13
 
 
 def chain_engine() -> str:
-    """The engine of run_chain: "compiled" for the C kernel, "python" for the reference loop."""
+    """The engine of run_chain: "compiled" for the C kernel, "python" for the reference loop.
+
+    A Gaussian chain also runs the reference loop where scipy's ndtri has
+    another signature than the kernel calls (see _ndtri_address).
+    """
     return "python" if _kernel() is None else "compiled"
 
 
 @functools.cache
-def _kernel() -> Optional[tuple[Callable[..., int], int]]:
-    """(chain_run of _chain_kernel.c, address of scipy's ndtri), or None where it cannot be built.
+def _kernel() -> Optional[ctypes.CDLL]:
+    """The library of _chain_kernel.c, chain_run and fib_run typed, or None where it cannot be built.
 
-    Built on first use with gcc into the cache directory, under a name
-    keyed by the source, the flags and the compiler version, so that an
-    edit or a new compiler builds afresh. The build writes a temporary file
-    and renames it into place, so processes that build at once do not see
-    each other's partial files.
+    run_chain and recursion.run_fibonacci run their reference loops where
+    it is None. Built on first use with gcc into the cache directory, under
+    a name keyed by the source, the flags and the compiler version, so that
+    an edit or a new compiler builds afresh. The build writes a temporary
+    file and renames it into place, so processes that build at once do not
+    see each other's partial files.
     """
     gcc = shutil.which("gcc")
     if gcc is None:
@@ -269,19 +278,18 @@ def _kernel() -> Optional[tuple[Callable[..., int], int]]:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(path).chain_run
+        lib = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
-    ndtri = _ndtri_address()
-    if ndtri is None:
-        return None
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
+    lib.chain_run.restype = ctypes.c_int64
+    lib.chain_run.argtypes = (
         [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double]
         + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
         + [ctypes.c_void_p] * 4
     )
-    return fn, ndtri
+    lib.fib_run.restype = None
+    lib.fib_run.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]
+    return lib
 
 
 def _cache_dir() -> str:
@@ -299,11 +307,14 @@ def _cache_dir() -> str:
 _NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
 
 
+@functools.cache
 def _ndtri_address() -> Optional[int]:
     """Address of the C function behind scipy.special.ndtri, as laws.draws uses it.
 
     The int of its signature is Cython's skip-dispatch flag, which the
-    kernel passes as 0. None when scipy exports another signature.
+    kernel passes as 0. None when scipy exports another signature. Looked
+    up on the first Gaussian chain only: importing cython_special costs a
+    process about 0.7 MB that a Bernoulli or fib run need not pay.
     """
     from scipy.special import cython_special
 
@@ -316,8 +327,8 @@ def _ndtri_address() -> Optional[int]:
 
 
 def _run_compiled(
-    kernel: tuple[Callable[..., int], int],
-    law: CoefficientLaw,
+    fn: Callable[..., int],
+    ndtri: Optional[int],
     n: int,
     rng: RngStream,
     c: float,
@@ -325,8 +336,10 @@ def _run_compiled(
     stride: int,
     half: int,
 ) -> _Parts:
-    """The trajectory through the kernel; the buffer doubles whenever the live support fills half of it."""
-    fn, ndtri = kernel
+    """The trajectory through chain_run, drawing normals through ndtri or signs where it is None.
+
+    The buffer doubles whenever the live support fills half of it.
+    """
     increments = np.empty(n)
     norms = np.empty(n // stride)
     cap = _KERNEL_ROWS
@@ -339,7 +352,7 @@ def _run_compiled(
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
         weights = np.exp(c * np.arange(cap))
         done = fn(
-            rng.seed, rng.stream_id, ndtri if law is GAUSSIAN else None,
+            rng.seed, rng.stream_id, ndtri,
             n, half, trunc_tol, weights.ctypes.data, stride,
             z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
             ist.ctypes.data, dst.ctypes.data,

@@ -15,30 +15,43 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__, bounds, chain, estimators, gaussian, recursion, verification
-from .laws import CoefficientLaw, RngStream
+from .laws import ROW_CHUNK, CoefficientLaw, RngStream
 from .util import ordered_map
 
 __all__ = ["dispatch", "main"]
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Floats (np.float64 is one) as %.17g; csv.writer writes every other cell as str(v)."""
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """A table given by its columns; floats (np.float64 is one) as %.17g, every other cell as str(v).
+
+    Rows stop at the end of the shortest column, as zip stops. A table of
+    numpy arrays is written ROW_CHUNK rows at a time, each row through one
+    %-format whose field for a column is fixed by its dtype; no number
+    needs csv quoting. Any other table goes cell by cell through
+    csv.writer, which quotes a cell such as verify's "1e-5, MC 3 se".
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        if not all(isinstance(c, np.ndarray) for c in columns):
+            writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in zip(*columns))
+            return
+        line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+        for start in range(0, min(map(len, columns)), ROW_CHUNK):
+            rows = zip(*(c[start : start + ROW_CHUNK].tolist() for c in columns))
+            fh.write("".join(map(line.__mod__, rows)))
 
 
 def _now(enabled: bool) -> Optional[str]:
@@ -46,7 +59,7 @@ def _now(enabled: bool) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (results dict, {filename: (header, rows)})
+# subcommand handlers: each returns (results dict, {filename: (header, columns)})
 
 
 # the defaults of the flags that only the chain reads
@@ -87,15 +100,15 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         traj = recursion.run_exact(args.n, rng)
         series = traj.log_abs_series()
         results = {"model": "exact", "n": args.n, "log_abs_final": _finite_or_none(series[-1])}
-        files = {"series.csv": (("step", "log_abs_value"), enumerate(series))}
+        files = {"series.csv": (("step", "log_abs_value"), (np.arange(series.size), series))}
     elif args.model == "vt":
         out = recursion.run_vt(args.n, rng)
         results = {"model": "vt", "n": args.n, "rate": float(out[-1]) / args.n}
-        files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
+        files = {"series.csv": (("step", "log_abs_value"), (np.arange(out.size), out))}
     elif args.model == "fib":
         out = recursion.run_fibonacci(args.n, rng)
         results = {"model": "fib", "n": args.n, "rate": _finite_or_none(float(out[-1]) / args.n)}
-        files = {"series.csv": (("step", "log_abs_value"), enumerate(out))}
+        files = {"series.csv": (("step", "log_abs_value"), (np.arange(out.size), out))}
     else:
         run = chain.run_chain(CoefficientLaw(args.law), args.n, rng, c=args.c, trunc_tol=args.trunc_tol)
         results = {
@@ -109,12 +122,12 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
             "chain_engine": chain.chain_engine(),
         }
         files = {
-            "increments.csv": (("step", "increment"), enumerate(run.increments, start=1)),
+            "increments.csv": (("step", "increment"), (np.arange(1, args.n + 1), run.increments)),
             "weighted_offsets.csv": (
                 ("checkpoint", "weighted_offset"),
-                zip(run.checkpoint_steps, run.weighted_offsets),
+                (run.checkpoint_steps, run.weighted_offsets),
             ),
-            "tail_means.csv": (("index", "tail_mean"), enumerate(run.tail_means)),
+            "tail_means.csv": (("index", "tail_mean"), (np.arange(run.tail_means.size), run.tail_means)),
         }
     return results, files
 
@@ -176,7 +189,7 @@ def _cmd_couple(args) -> tuple[dict, dict]:
     files = {
         "trace.csv": (
             ("step", "rho", "log_a2", "log_b"),
-            zip(range(args.n + 1), trace.rho, trace.log_a2, trace.log_b),
+            (np.arange(args.n + 1), trace.rho, trace.log_a2, trace.log_b),
         )
     }
     return results, files
@@ -210,7 +223,7 @@ def _cmd_tails(args) -> tuple[dict, dict]:
     files = {
         "tails.csv": (
             ("index", "tail_mean", "alpha_power", "stderr"),
-            zip(stats["indices"], stats["means"], stats["alpha_powers"], stats["stderrs"]),
+            (stats["indices"], stats["means"], stats["alpha_powers"], stats["stderrs"]),
         )
     }
     return results, files
@@ -231,12 +244,12 @@ def _cmd_verify(args) -> tuple[dict, dict]:
     files = {
         "checks.csv": (
             ("name", "expected", "observed", "tolerance", "passed", "elapsed_s"),
-            [
+            list(zip(*[
                 # wall times vary from run to run: --no-timestamps leaves them out
                 (c.name, c.expected, c.observed, c.tolerance, c.passed,
                  "" if args.no_timestamps or c.elapsed_s is None else c.elapsed_s)
                 for c in checks
-            ],
+            ])),
         )
     }  # fmt: skip
     return results, files
@@ -285,7 +298,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_output(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="lyapunov-lab",
         description="Simulate random full-history linear recursions and verify their growth-rate laws",
@@ -390,8 +405,8 @@ def dispatch(argv: Sequence[str]) -> int:
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
-            for name, (header, rows) in files.items():
-                _write_csv(os.path.join(args.out, name), header, rows)
+            for name, (header, columns) in files.items():
+                _write_csv(os.path.join(args.out, name), header, columns)
             params = {
                 k: v for k, v in vars(args).items() if k not in ("func", "out", "no_timestamps", "command")
             }

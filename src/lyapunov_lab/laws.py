@@ -64,7 +64,7 @@ recursion (exact, floating-point, normalized) on identical coefficients.
 """
 
 ROW_CHUNK = 4096
-"""Rows per RngStream.rows call in the loops over short rows.
+"""Rows per RngStream.rows call in the loops over short rows, and per write of a CSV table.
 
 Large enough that the per-call cost of the vectorized Philox is spread
 thin, small enough that a chunk's temporaries stay a few hundred KB
@@ -196,9 +196,10 @@ class RngStream:
         The pass costs per word where the per-row path costs per call: on a
         2-core x86-64 host (numpy 2.4) a row took 0.44 us against 6.3 us by
         seek_row + words at k = 2, 5.1 against 6.9 us at k = 64 and 11.8
-        against 5.5 us at k = 128, so the crossover lies near k = 80. The
-        2-word loops (fib, couple) use rows(); the long-row loops keep
-        seek_row + words.
+        against 5.5 us at k = 128, so the crossover lies near k = 80.
+        couple's 2-word rows and the reference loop of run_fibonacci use
+        rows(); the long-row loops keep seek_row + words. The compiled
+        kernel draws fib's rows itself, one Philox block a step.
         """
         if first < 0 or count < 0 or k < 0:
             raise ValueError("first, count and k must be nonnegative")

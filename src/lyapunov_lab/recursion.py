@@ -7,7 +7,9 @@
   t[n] = sum_{i=1..n} a[i,n] t[n-i] / a[n,n], reported through the running
   log of the partial sums of squares (t[0]^2 included).
 * run_fibonacci: the two-term random Fibonacci recursion
-  f[k+1] = eps[k,0] f[k] + eps[k,1] f[k-1].
+  f[k+1] = eps[k,0] f[k] + eps[k,1] f[k-1], through fib_run of the
+  compiled kernel (see chain._kernel) or the reference loop
+  _fibonacci_reference; both give the same numbers bit for bit.
 
 Each step k draws its coefficient row at rng row k (see laws.ROW_STRIDE),
 so the exact and floating-point paths of the same seed see identical
@@ -22,6 +24,7 @@ from itertools import accumulate, compress
 
 import numpy as np
 
+from . import chain
 from .laws import BERNOULLI, ROW_CHUNK, RngStream, sample_row, sample_rows
 from .util import log_abs_bigint
 
@@ -172,7 +175,8 @@ def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:
     f[0] = f[1] = 1. The pair (f[k+1], f[k]) is evolved with floating-point
     renormalization; an exact zero is recorded as -inf and the recursion
     continues through the pair, which can never vanish entirely. n is
-    capped at FIB_STEP_CAP.
+    capped at FIB_STEP_CAP. The compiled kernel runs the loop when it can
+    be built, _fibonacci_reference otherwise.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -181,6 +185,16 @@ def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1] = 0.0
+    kernel = chain._kernel()
+    if kernel is None:
+        _fibonacci_reference(n, rng, out)
+    else:
+        kernel.fib_run(rng.seed, rng.stream_id, n, out.ctypes.data)
+    return out
+
+
+def _fibonacci_reference(n: int, rng: RngStream, out: np.ndarray) -> None:
+    """Steps 1 .. n-1 of run_fibonacci into out[2 .. n] in Python; fib_run must match it bit for bit."""
     a, b = 1.0, 1.0  # (f[k], f[k-1]), renormalized
     log_scale = 0.0
     for first in range(1, n, ROW_CHUNK):
@@ -194,7 +208,6 @@ def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:
                 a /= m
                 b /= m
                 log_scale += math.log(m)
-    return out
 
 
 def log_norms(model: str, n: int, rng: RngStream) -> np.ndarray:

@@ -207,9 +207,10 @@ def check_alpha_two_coord_enum() -> CheckResult:
     """E(1+<eps, y>^2)^(-1/2) at y = (1,1)/sqrt(2), exactly and by bounds.verify_alpha_mc.
 
     The four sign patterns give g in {-sqrt2, 0, 0, sqrt2}, so the exact
-    mean is (1 + 1/sqrt3)/2 = 0.7886751. The Monte Carlo estimate of the
-    library, on stream 19, must pass its own alpha test and lie within
-    3 standard errors of the enumerated value.
+    mean is (1 + 1/sqrt3)/2 = 0.7886751, the expected value. The Monte
+    Carlo estimate of the library, on stream 19, is the observed value: it
+    must pass its own alpha test and lie within 3 standard errors of the
+    enumerated value, which must itself lie within 1e-5 of 0.78868.
     """
     y = np.array([1.0, 1.0]) / math.sqrt(2.0)
     total = 0.0
@@ -222,8 +223,8 @@ def check_alpha_two_coord_enum() -> CheckResult:
     z = _z(mc.empirical_mean - value, mc.stderr)
     return CheckResult(
         name="alpha_two_coord_enum",
-        expected="0.78868",
-        observed=f"{value:.7f}",
+        expected=f"{value:.7f}",
+        observed=f"{mc.empirical_mean:.7f}",
         tolerance="1e-5, MC 3 se",
         passed=abs(value - 0.78868) < 1e-5 and mc.passed and abs(z) <= 3.0,
         details=f"MC {mc.empirical_mean:.5f}+-{mc.stderr:.5f} (z={z:.2f}), {mc.samples} samples",

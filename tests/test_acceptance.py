@@ -182,7 +182,8 @@ def test_c07_two_coord_enum_fails_on_biased_signs(monkeypatch):
 
     monkeypatch.setattr(bounds, "sample_row", biased)
     check = V.check_alpha_two_coord_enum()
-    assert check.observed == "0.7886751"
+    assert check.expected == "0.7886751"
+    assert float(check.observed) == pytest.approx(0.7358, abs=0.005)  # the library's Monte Carlo mean
     assert not check.passed, V.format_line(check)
 
 
@@ -196,6 +197,16 @@ def test_c07_constant_signs_fail_instead_of_raising(monkeypatch, name):
     check = getattr(V, name)()
     assert "inf" in check.observed + check.details
     assert not check.passed, V.format_line(check)
+
+
+def test_c07_two_coord_enum_observes_the_library(monkeypatch):
+    # every sign +1 gives g = sqrt2 in every sample: the library's mean is
+    # 1/sqrt3, and the line shows it against the enumerated value
+    from lyapunov_lab import laws
+
+    monkeypatch.setattr(laws, "_signs", lambda w: np.ones(w.shape))
+    line = V.format_line(V.check_alpha_two_coord_enum())
+    assert "expected 0.7886751, observed 0.5773503," in line
 
 
 def test_a_zero_standard_error_gives_z_inf():
@@ -220,7 +231,11 @@ def test_c10_exact_path_determinism():
 
 
 def test_c10_exact_determinism_fails_on_a_mutated_fib_scale(monkeypatch):
-    # fib_rate_oracle passes this defect at z = 2.97
-    _mutate(monkeypatch, recursion, "run_fibonacci", "log_scale += math.log(m)", "log_scale += 1.01 * math.log(m)")
+    # fib_rate_oracle passes this defect at z = 2.97; the mutation is made
+    # in the reference loop, which runs where the kernel is None
+    monkeypatch.setattr(chain, "_kernel", lambda: None)
+    _mutate(
+        monkeypatch, recursion, "_fibonacci_reference", "log_scale += math.log(m)", "log_scale += 1.01 * math.log(m)"
+    )
     check = V.check_exact_determinism()
     assert not check.passed, V.format_line(check)

@@ -20,7 +20,7 @@ from lyapunov_lab import chain, cli, estimators, gaussian, recursion, verificati
 from lyapunov_lab.chain import CHAIN_STEP_CAP
 from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import COUPLE_STEP_CAP
-from lyapunov_lab.laws import BERNOULLI, RngStream
+from lyapunov_lab.laws import BERNOULLI, ROW_CHUNK, RngStream
 from lyapunov_lab.recursion import EXACT_STEP_CAP, FIB_STEP_CAP, VT_STEP_CAP
 from lyapunov_lab.verification import TAIL_CELL_CAP, TAIL_MAX_INDEX
 
@@ -97,11 +97,24 @@ def test_csv_cells_are_written_exactly(tmp_path):
     row = ["mean <= alpha + 3 se, all", "", True, np.bool_(False), 7, np.int64(1500), 0.1,
            np.float64(-np.inf), float("nan"), -0.0, 5e-324, 1e300, np.float64(0.28275)]  # fmt: skip
     path = tmp_path / "cells.csv"
-    cli._write_csv(str(path), ("a", "b"), [row])
+    cli._write_csv(str(path), ("a", "b"), [[v] for v in row])  # one row, a column per cell
     assert path.read_text() == (
         'a,b\n"mean <= alpha + 3 se, all",,True,False,7,1500,0.10000000000000001,-inf,nan,-0,'
         "4.9406564584124654e-324,1.0000000000000001e+300,0.28275\n"
     )
+
+
+def test_csv_array_columns_are_written_cell_by_cell_rule(tmp_path):
+    # float and int arrays go a chunk of ROW_CHUNK rows at a time, in bytes
+    # equal to the per-cell rule; rows stop at the end of the shortest column
+    n = 2 * ROW_CHUNK + 3
+    x = RngStream(3).normals(n) * 10.0 ** np.linspace(-300, 300, n)
+    x[[0, 5, ROW_CHUNK, n - 1]] = [-0.0, -np.inf, np.nan, 5e-324]
+    steps = np.arange(n + 7)
+    path = tmp_path / "columns.csv"
+    cli._write_csv(str(path), ("step", "x", "flag"), [steps, x, x > 0.0])
+    rows = [f"{i},{v:.17g},{v > 0.0}" for i, v in zip(steps.tolist(), x.tolist())]
+    assert path.read_text() == "step,x,flag\n" + "".join(row + "\n" for row in rows)
 
 
 def test_simulate_chain_outputs(tmp_path, capsys):

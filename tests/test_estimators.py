@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lyapunov_lab import recursion
+from lyapunov_lab import chain, recursion
 from lyapunov_lab.estimators import (
     GrowthEstimate,
     gamma_from_increments,
@@ -79,6 +79,7 @@ def test_slope_of_deterministic_doubling():
 
 
 def test_rate_of_classical_fibonacci(monkeypatch):
+    monkeypatch.setattr(chain, "_kernel", lambda: None)  # the reference loop, which reads sample_rows
     monkeypatch.setattr(recursion, "sample_rows", lambda law, rng, first, count, k: np.ones((count, k)))
     est = gamma_from_increments(np.diff(recursion.log_norms("fib", 10_000, RngStream(0))))
     assert est.gamma_hat == pytest.approx(math.log(GOLDEN), abs=1e-4)

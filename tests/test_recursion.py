@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lyapunov_lab import recursion
+from lyapunov_lab import chain, recursion
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
 from lyapunov_lab.recursion import (
     EXACT_STEP_CAP,
@@ -25,8 +25,12 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _scripted_rows(mp, signs):
-    """Make the recursions draw their coefficient rows from `signs`, in order."""
+    """Make the recursions draw their coefficient rows from `signs`, in order.
+
+    fib runs its reference loop, since the compiled kernel draws its own rows.
+    """
     it = iter(signs)
+    mp.setattr(chain, "_kernel", lambda: None)
 
     def take(count, k):
         return np.array([next(it) for _ in range(count * k)], dtype=float).reshape(count, k)
@@ -235,10 +239,44 @@ def _fibonacci_per_row(n: int, rng: RngStream) -> np.ndarray:
     return out
 
 
+def _reference_fibonacci(n: int, rng: RngStream) -> np.ndarray:
+    """run_fibonacci through the reference loop, as it runs where the kernel cannot be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain, "_kernel", lambda: None)
+        return run_fibonacci(n, rng)
+
+
 @pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, ROW_CHUNK + 2, 20_000])
 def test_fibonacci_chunked_rows_match_per_row_loop(n):
-    out = run_fibonacci(n, RngStream(2718, 3))
+    out = _reference_fibonacci(n, RngStream(2718, 3))
     assert np.array_equal(out, _fibonacci_per_row(n, RngStream(2718, 3)))
+
+
+@pytest.mark.parametrize(
+    "seed, stream, n",
+    [(0, 0, 2), (1, 0, 3), (7, 3, 100), (1_000_003, 834, 2000), (5, 9, 20_000), (271828, 0, 200_000)],
+)
+def test_fibonacci_kernel_equals_reference_bit_for_bit(compiled, seed, stream, n):
+    out = run_fibonacci(n, RngStream(seed, stream))
+    assert out.tobytes() == _reference_fibonacci(n, RngStream(seed, stream)).tobytes()
+
+
+def test_fibonacci_kernel_matches_through_zeros_and_renormalizations(compiled):
+    # stream 11 of seed 2^64 - 1 hits f = 0 five times in 12,293 steps, and
+    # a run renormalizes at 2^64 every 360 steps or so
+    n = 3 * ROW_CHUNK + 5
+    out = run_fibonacci(n, RngStream(2**64 - 1, 11))
+    assert np.count_nonzero(np.isneginf(out)) == 5
+    assert out[-1] > 64 * math.log(2.0)
+    assert out.tobytes() == _reference_fibonacci(n, RngStream(2**64 - 1, 11)).tobytes()
+
+
+def test_fibonacci_pinned_digest_holds_on_the_reference_loop(monkeypatch):
+    # tests/test_golden.py pins run_fibonacci on the engine that builds; the same digest must come from the loop
+    from test_golden import test_fibonacci_run_is_pinned
+
+    monkeypatch.setattr(chain, "_kernel", lambda: None)
+    test_fibonacci_run_is_pinned()
 
 
 def test_fibonacci_scripted_rows_span_chunks(monkeypatch):
