@@ -255,18 +255,21 @@ def _kernel() -> Optional[ctypes.CDLL]:
 
     run_chain and recursion.run_fibonacci run their reference loops where
     it is None. Built on first use with gcc into the cache directory, under
-    a name keyed by the source, the flags and the compiler version, so that
-    an edit or a new compiler builds afresh. The build writes a temporary
-    file and renames it into place, so processes that build at once do not
-    see each other's partial files.
+    a name keyed by the source, the flags and the compiler binary (its
+    resolved path, size and modification time), so that an edit or a new
+    compiler builds afresh, and loading a cached build starts no process.
+    The build writes a temporary file and renames it into place, so
+    processes that build at once do not see each other's partial files.
     """
     gcc = shutil.which("gcc")
     if gcc is None:
         return None
     try:
         source = _KERNEL_SOURCE.read_bytes()
-        version = subprocess.run([gcc, "--version"], capture_output=True, check=True).stdout
-        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), version]))
+        compiler = os.path.realpath(gcc)
+        stat = os.stat(compiler)
+        stamp = f"{compiler} {stat.st_size} {stat.st_mtime_ns}".encode()
+        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), stamp]))
         path = os.path.join(_cache_dir(), f"chain_kernel-{key.hexdigest()[:16]}.so")
         if not os.path.exists(path):
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))

@@ -5,7 +5,11 @@ exponentially fast. With rho the inner product of the two unit states and
 a^2 = 1 - rho^2 the squared misalignment, one step multiplies a^2 by b,
 where log b = F(rho, g, w) for the standard Gaussian pair (g, w). This
 module evaluates F, its expectation over (g, w) by tensor Gauss-Hermite
-quadrature, and the scalar coupling recursion itself. The Gaussian
+quadrature, and the scalar coupling recursion itself. Once log a^2 is
+below -40, 1 - a^2 rounds to 1, so rho is exactly 1 and F takes its limit
+form, which does not read rho; couple steps such stretches as one array
+pass, which gives the per-step loop's numbers bit for bit, since F is the
+same function on arrays and the sums run in the same order. The Gaussian
 constants E_LOG1P_G2 = E log(1+g^2), the growth rate LAMBDA_V and the
 worst-case contraction ETA = max_rho E F are closed forms; the quadrature
 routines are the independent values that the verification checks compare
@@ -42,6 +46,8 @@ __all__ = [
 COUPLE_STEP_CAP = 10**7  # the trace holds 24 bytes a step: 240 MB at the cap
 
 _LIMIT_A2 = 1e-12  # below this squared misalignment, use the rho = 1 limit form
+_SURE_ALIGNED = -40.0  # exp(-40) < 2^-54: below this log a^2, 1 - a^2 rounds to 1 and rho is exactly 1
+_SCALAR_ROWS = 64  # rows converted to floats at a time for couple's per-step loop
 
 
 def _e_log1p_g2() -> float:
@@ -156,14 +162,29 @@ class CouplingTrace:
         return float(np.mean(self.log_b[1:]))
 
 
+def _overlap(la2: float) -> float:
+    """rho = sqrt(1 - exp(log a^2)), 0 where exp(log a^2) reaches 1."""
+    ea = math.exp(la2) if la2 < 0.0 else 1.0
+    return math.sqrt(1.0 - ea) if ea < 1.0 else 0.0
+
+
 def couple(n: int, rng: RngStream) -> CouplingTrace:
     """Evolve the scalar coupling recursion for n steps from overlap rho = 0.
 
     Only the scalar misalignment is tracked: log a^2 is evolved additively
     by F(rho, g, w) and rho recovered as sqrt(1 - exp(log a^2)), clamped to
-    [0, 1]. Once a^2 underflows the limit form of F takes over on its own.
-    Step t draws its (g, w) pair at rng row t-1, so a trace is a pure
-    function of (seed, stream). n is capped at COUPLE_STEP_CAP.
+    [0, 1]. Step t draws its (g, w) pair at rng row t-1, so a trace is a
+    pure function of (seed, stream). n is capped at COUPLE_STEP_CAP.
+
+    Below log a^2 = _SURE_ALIGNED, exp(log a^2) < 2^-54, so 1 - exp(log a^2)
+    rounds to 1: rho is exactly 1, a^2 = 1 - rho^2 is 0 and F takes its
+    limit form, which does not read rho. While log a^2 stays below the
+    threshold, the rest of a chunk of rows is stepped as one array pass:
+    F from contraction_f(1.0, g, w) on the arrays, equal bit for bit to
+    its float calls, and log a^2 from np.add.accumulate, the same
+    sequential sums as the scalar la2 + f chain. The first step back at or
+    above the threshold takes its rho from the scalar rule, and the steps
+    after it run one at a time until log a^2 falls below again.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -177,15 +198,38 @@ def couple(n: int, rng: RngStream) -> CouplingTrace:
     rho[0] = r
     log_a2[0] = la2
     for first in range(0, n, ROW_CHUNK):
-        rows = sample_rows(GAUSSIAN, rng, first, min(ROW_CHUNK, n - first), 2).tolist()
-        for t, (g, w) in enumerate(rows, start=first + 1):
-            f = contraction_f(r, g, w)
-            la2 = la2 + f
-            log_b[t] = f
-            log_a2[t] = la2
-            ea = math.exp(la2) if la2 < 0.0 else 1.0
-            r = math.sqrt(1.0 - ea) if ea < 1.0 else 0.0
-            rho[t] = r
+        gw = sample_rows(GAUSSIAN, rng, first, min(ROW_CHUNK, n - first), 2)
+        end = first + len(gw)  # steps first+1 .. end draw rows first .. end-1
+        f_aligned = None
+        t = first + 1
+        while t <= end:
+            if la2 < _SURE_ALIGNED:
+                if f_aligned is None:
+                    f_aligned = contraction_f(1.0, gw[:, 0], gw[:, 1])
+                log_b[t : end + 1] = f_aligned[t - first - 1 :]
+                # past `last` these entries are provisional: the per-step loop rewrites them
+                sums = log_a2[t - 1 : end + 1]  # a view: log_a2[t-1] is la2
+                sums[1:] = log_b[t : end + 1]
+                np.add.accumulate(sums, out=sums)
+                back = np.flatnonzero(sums[1:] >= _SURE_ALIGNED)
+                last = t + int(back[0]) if back.size else end
+                rho[t:last] = 1.0
+                la2 = float(log_a2[last])
+                r = _overlap(la2)
+                rho[last] = r
+                t = last + 1
+            else:
+                # tolist() costs about 40 ns a value: convert a window of rows, not the chunk
+                for g, w in gw[t - first - 1 : t - first - 1 + _SCALAR_ROWS].tolist():
+                    f = contraction_f(r, g, w)
+                    la2 = la2 + f
+                    log_b[t] = f
+                    log_a2[t] = la2
+                    r = _overlap(la2)
+                    rho[t] = r
+                    t += 1
+                    if la2 < _SURE_ALIGNED:
+                        break
     return CouplingTrace(rho=rho, log_a2=log_a2, log_b=log_b)
 
 

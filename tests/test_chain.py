@@ -1,4 +1,5 @@
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -346,8 +347,16 @@ def test_kernel_builds_into_the_cache_directory(compiled, fresh_kernel, tmp_path
     assert built[0].stat().st_mtime_ns == stamp
 
 
-# a gcc that prints a version and then fails to compile
-FAILING_GCC = '#!/bin/sh\nif [ "$1" = --version ]; then echo "gcc 0"; else exit 1; fi\n'
+def test_cached_kernel_loads_without_starting_a_process(compiled, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError(f"started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    assert chain._kernel.__wrapped__() is not None
+
+
+# a gcc that fails to compile
+FAILING_GCC = "#!/bin/sh\nexit 1\n"
 
 
 @pytest.mark.parametrize("compiler", [None, FAILING_GCC], ids=["missing", "failing"])

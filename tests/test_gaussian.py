@@ -8,6 +8,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy import integrate
 from scipy.special import exp1
 
+from lyapunov_lab import gaussian
 from lyapunov_lab.gaussian import (
     COUPLE_STEP_CAP,
     E_LOG1P_G2,
@@ -69,12 +70,14 @@ def test_f_at_rho_zero():
 def test_f_on_floats_equals_f_on_length_one_arrays(rho):
     # the two middle rhos sit on either side of the switch to the limit form at a^2 < 1e-12;
     # floats and arrays run the same np.log1p loop, so a scalar formula that rounds
-    # differently would show here
-    for g, w in sample_rows(GAUSSIAN, RngStream(15, 0), 0, 1000, 2).tolist():
+    # differently would show here; couple's aligned steps call it on a whole chunk of rows at once
+    gw = sample_rows(GAUSSIAN, RngStream(15, 0), 0, 1000, 2)
+    whole = contraction_f(rho, gw[:, 0], gw[:, 1]).tolist()
+    for (g, w), in_whole in zip(gw.tolist(), whole):
         val = contraction_f(rho, g, w)
         assert type(val) is float
         arr = contraction_f(rho, np.array([g]), np.array([w]))
-        assert val.hex() == float(arr[0]).hex()
+        assert val.hex() == float(arr[0]).hex() == in_whole.hex()
 
 
 @given(
@@ -172,15 +175,19 @@ def test_couple_replay_bit_identical():
     assert np.array_equal(a.log_b, b.log_b)
 
 
-def _couple_per_row(n: int, rng: RngStream):
-    # reference: one seek_row + normals(2) per step from rho = 0, the loop before rows()
+def _couple_per_row(n: int, rng: RngStream, rows=None):
+    # reference: one seek_row + normals(2) per step from rho = 0, the loop before rows(),
+    # or the given (g, w) rows
     rho, log_a2, log_b = np.empty(n + 1), np.empty(n + 1), np.zeros(n + 1)
     r = 0.0
     la2 = math.log1p(-r * r)
     rho[0], log_a2[0] = r, la2
     for t in range(1, n + 1):
-        rng.seek_row(t - 1)
-        gw = rng.normals(2)
+        if rows is None:
+            rng.seek_row(t - 1)
+            gw = rng.normals(2)
+        else:
+            gw = rows[t - 1]
         f = contraction_f(r, gw[0], gw[1])
         la2 = la2 + f
         log_b[t], log_a2[t] = f, la2
@@ -190,13 +197,57 @@ def _couple_per_row(n: int, rng: RngStream):
     return rho, log_a2, log_b
 
 
-@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 20_000])
-def test_couple_chunked_rows_match_per_row_loop(n):
+def test_rho_is_exactly_one_below_the_aligned_threshold():
+    assert 1.0 - math.exp(gaussian._SURE_ALIGNED) == 1.0
+
+
+# stream (314, 15) first falls below _SURE_ALIGNED at step 245 and climbs back 7 times by n = 20,000
+@pytest.mark.parametrize(
+    "seed, stream, n, phases",
+    [
+        (314, 15, 1, "per-step-only"),
+        (314, 15, 2, "per-step-only"),
+        (314, 15, 100, "per-step-only"),
+        (314, 15, ROW_CHUNK - 1, "aligned"),
+        (314, 15, ROW_CHUNK, "aligned"),
+        (314, 15, ROW_CHUNK + 1, "across-chunk-boundary"),
+        (2**64 - 1, 3, ROW_CHUNK + 300, "across-chunk-boundary"),
+        (314, 15, 20_000, "climbs-back"),
+    ],
+)
+def test_couple_chunked_rows_match_per_row_loop(seed, stream, n, phases):
+    tr = couple(n, RngStream(seed, stream))
+    rho, log_a2, log_b = _couple_per_row(n, RngStream(seed, stream))
+    assert tr.rho.tobytes() == rho.tobytes()
+    assert tr.log_a2.tobytes() == log_a2.tobytes()
+    assert tr.log_b.tobytes() == log_b.tobytes()
+    below = log_a2 < gaussian._SURE_ALIGNED
+    if phases == "per-step-only":
+        assert not below.any()
+    else:
+        assert below.any()
+    if phases == "across-chunk-boundary":
+        # steps ROW_CHUNK and ROW_CHUNK + 1, the last of one chunk and the first of the next, both start aligned
+        assert below[ROW_CHUNK - 1] and below[ROW_CHUNK]
+    if phases == "climbs-back":
+        # log a^2 starts at 0, so a step from below to above follows a fall
+        assert np.any(below[:-1] & ~below[1:])
+
+
+def test_couple_climb_far_above_the_aligned_threshold(monkeypatch):
+    # a climb back from below -40 lands below about -37.4 on every stream tried, where rho still
+    # rounds to 1; one huge w at row 300 lifts log a^2 far above it, so rho at step 301 must come
+    # from the scalar rule and the steps after it from the per-step loop
+    n = 1000
+    rows = sample_rows(GAUSSIAN, RngStream(314, 15), 0, n, 2)
+    rows[300, 1] = 1e4
+    monkeypatch.setattr(gaussian, "sample_rows", lambda law, rng, first, count, k: rows[first : first + count])
     tr = couple(n, RngStream(314, 15))
-    rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15))
-    assert np.array_equal(tr.rho, rho)
-    assert np.array_equal(tr.log_a2, log_a2)
-    assert np.array_equal(tr.log_b, log_b)
+    rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15), rows.tolist())
+    assert log_a2[300] < gaussian._SURE_ALIGNED and 0.0 < rho[301] < 1.0
+    assert tr.rho.tobytes() == rho.tobytes()
+    assert tr.log_a2.tobytes() == log_a2.tobytes()
+    assert tr.log_b.tobytes() == log_b.tobytes()
 
 
 def test_couple_additive_identity_is_exact():

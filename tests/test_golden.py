@@ -58,9 +58,18 @@ def test_vt_run_is_pinned():
     assert _sha256(out) == "294b5c86c0f7822c85dbaf68caf7b1bef5b802d5ee64fd8966e79df3b4af0b27"
 
 
-def test_coupling_trace_is_pinned():
-    trace = couple(2000, RngStream(SEED, 836))
-    assert _sha256(trace.rho, trace.log_a2, trace.log_b) == "da191583f8edc2de1a5fb07a6489e4e816d6d44e7c50a2cc3e10fc524095f066"
+@pytest.mark.parametrize(
+    "n, stream, digest",
+    [
+        (2000, 836, "da191583f8edc2de1a5fb07a6489e4e816d6d44e7c50a2cc3e10fc524095f066"),
+        # log a^2 first falls below -40 at step 234 and climbs back above it twice
+        (20_000, 837, "bf863074239cbd20e522420f9c129aafc783765bec31bf9e22d750df4dd5dfc4"),
+    ],
+    ids=["n2000", "n20000-climbs-back"],
+)
+def test_coupling_trace_is_pinned(n, stream, digest):
+    trace = couple(n, RngStream(SEED, stream))
+    assert _sha256(trace.rho, trace.log_a2, trace.log_b) == digest
 
 
 # gamma's estimates are floats, not arrays: pinned as the literals it printed
