@@ -1,29 +1,35 @@
-/* The two loops of the package that run in compiled code, bit for bit:
- * one trajectory of chain.run_chain (chain_run) and one run of the random
- * Fibonacci recursion of recursion.run_fibonacci (fib_run).
+/* The loops of the package that run in compiled code, bit for bit: one
+ * trajectory of chain.run_chain (chain_run), one run of the random
+ * Fibonacci recursion of recursion.run_fibonacci (fib_run), one run of the
+ * division recursion of recursion.run_vt (vt_run), a block of Gaussian rows
+ * as laws.sample_rows draws them (normal_rows), and the inverse normal CDF
+ * of words (normals).
  *
- * Both draw the same Philox-4x64-10 words as laws.RngStream (key (seed,
- * stream), word 4j+i of row t is word i of the block at counter
- * t*2^30 + j + 1) and a sign from the top bit, looked up as laws._signs
- * does. The chain also draws a normal from scipy's ndtri of the uniform of
- * the top 53 bits, as laws._uniforms, and runs the same float operations
- * in the same order as chain._step and chain._truncate: every sum runs
+ * Every loop draws the same Philox-4x64-10 words as laws.RngStream (key
+ * (seed, stream), word 4j+i of row t is word i of the block at counter
+ * t*2^30 + j + 1). A sign comes from the top bit, looked up as laws._signs
+ * does. A normal is ndtri of the uniform of the top 53 bits, as laws.draws
+ * computes it with scipy.special.ndtri; normals() is cephes ndtri, the
+ * algorithm behind scipy's, with the same constants and the same order of
+ * operations, so it gives the same bits (see normals below). The chain
+ * runs the same float operations in the same order as chain._step and
+ * chain._truncate, and vt those of recursion._vt_reference: every sum runs
  * term by term from x[0], as chain._seq_sum does.
  *
- * A chain step draws its row ROW_CHUNK coordinates at a time, the Philox
- * blocks first and then their signs (a table lookup, not a branch on a
- * random bit) or normals, and only then adds row[i] * v[i] into g, carried
- * from chunk to chunk in index order: the blocks and ndtri calls,
- * independent of one another, overlap out of order instead of waiting on
- * the adds.
+ * A chain or vt step draws its row ROW_CHUNK coordinates at a time, the
+ * Philox blocks first and then their signs (a table lookup, not a branch on
+ * a random bit) or normals, and only then adds row[i] * v[i] into the dot
+ * product, carried from chunk to chunk in index order: the blocks and the
+ * normals, independent of one another, overlap out of order instead of
+ * waiting on the adds.
  *
  * Built with -O3 -ffp-contract=off and no fast-math: no product and sum
  * fuse into one rounding, and GCC reorders a floating-point sum only
  * under -fassociative-math. -O3 vectorizes the elementwise loops (the
- * divides, the |z| tail sums), exact per lane, and the products of the
- * sums, whose terms it still adds one by one in index order (an in-order,
- * "fold-left", reduction). log, log1p and sqrt are libm's, as Python's
- * math module takes them.
+ * divides, the |z| tail sums, the passes of normals), exact per lane, and
+ * the products of the sums, whose terms it still adds one by one in index
+ * order (an in-order, "fold-left", reduction). log, log1p and sqrt are
+ * libm's, as Python's math module and scipy take them.
  *
  * Chain: z holds the state newest first in z[front .. front+k-1] of a
  * buffer of cap entries; a step prepends at front - 1. The caller decides
@@ -36,14 +42,24 @@
  *
  * Fibonacci: step k reads words 0 and 1 of row k, one Philox block, and
  * is the loop of recursion._fibonacci_reference written out in C.
+ *
+ * vt: step k reads the k normals of row k and is the loop of
+ * recursion._vt_reference written out in C.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-typedef double (*ndtri_fn)(double, int);
-
 #define ROW_CHUNK 256 /* coordinates drawn at a time; a multiple of the 4 words of a block */
+
+/* normals runs in one clone per x86-64 level, chosen when the library loads
+ * (GCC 11 names the levels, and glibc resolves the choice);
+ * -DKERNEL_NO_CLONES builds the default clone alone, as hosts below v3 run it */
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11 && !defined(KERNEL_NO_CLONES)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
 
 static const double sign_of_top_bit[2] = {1.0, -1.0};
 
@@ -63,25 +79,141 @@ static void philox(uint64_t c0, uint64_t k0, uint64_t k1, uint64_t out[4])
     out[0] = c0, out[1] = c1, out[2] = c2, out[3] = c3;
 }
 
-static double uniform(uint64_t w)  /* laws._uniforms: 2^53 - 1 would round up to 1.0 */
+/* cephes ndtri (Moshier, Cephes Math Library 2.8): central rational fit
+ * for e^-2 < y <= 1 - e^-2, and two fits in z = 1/sqrt(-2 log y) for the
+ * tails, x < 8 (y > e^-32) and x >= 8 */
+static const double NDTRI_E2 = 0.13533528323661269189; /* e^-2 */
+static const double NDTRI_S2PI = 2.50662827463100050242E0; /* sqrt(2 pi) */
+
+static const double NDTRI_P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+    1.39312609387279679503E1, -1.23916583867381258016E0,
+};
+static const double NDTRI_Q0[8] = {
+    1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+    -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+    1.59056225126211695515E1, -1.18331621121330003142E0,
+};
+static const double NDTRI_P1[9] = {
+    4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+    4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4,
+};
+static const double NDTRI_Q1[8] = {
+    1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+    1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+};
+static const double NDTRI_P2[9] = {
+    3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+    1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9,
+};
+static const double NDTRI_Q2[8] = {
+    6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+    2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+};
+
+/* cephes polevl and p1evl: c[0] x^n + ... + c[n], and x^n + c[0] x^(n-1) + ... + c[n-1], by Horner */
+static inline double polevl(double x, const double *c, int n)
 {
-    double u = (double)(w >> 11) * 0x1p-53 + 0x1p-54;
-    return u < 0x1.fffffffffffffp-1 ? u : 0x1.fffffffffffffp-1;
+    double ans = c[0];
+    for (int i = 1; i <= n; i++)
+        ans = ans * x + c[i];
+    return ans;
+}
+
+static inline double p1evl(double x, const double *c, int n)
+{
+    double ans = x + c[0];
+    for (int i = 1; i < n; i++)
+        ans = ans * x + c[i];
+    return ans;
+}
+
+/* out[i] = ndtri(uniform of words[i]), bit for bit scipy.special.ndtri(laws._uniforms(words)).
+ *
+ * Block by block: a pass converts words to uniforms (a uint64 -> double
+ * conversion vectorizes only with AVX-512DQ, so it stays out of the next
+ * pass); a pass computes the central branch for every lane, with no branch
+ * on the value; a branch-free pass lists the tail lanes, where y <= e^-2
+ * after the flip y = 1 - u of u > 1 - e^-2; then passes over that list:
+ * libm log, sqrt, libm log again, and both tail fits, chosen per lane by
+ * x < 8. The tail values overwrite the central values of their lanes. */
+CLONES void normals(const uint64_t *words, double *out, int64_t m)
+{
+    double u[ROW_CHUNK], ty[ROW_CHUNK], tsign[ROW_CHUNK], tx[ROW_CHUNK], tlog[ROW_CHUNK];
+    int64_t lane[ROW_CHUNK];
+    for (int64_t b = 0; b < m; b += ROW_CHUNK) {
+        const uint64_t *w = words + b;
+        double *o = out + b;
+        int64_t len = m - b < ROW_CHUNK ? m - b : ROW_CHUNK;
+        for (int64_t i = 0; i < len; i++) {
+            /* laws._uniforms: m 2^-53 + 2^-54, and 2^53 - 1, which would round up to 1.0, clamped */
+            double v = (double)(w[i] >> 11) * 0x1p-53 + 0x1p-54;
+            u[i] = v < 0x1.fffffffffffffp-1 ? v : 0x1.fffffffffffffp-1;
+        }
+        for (int64_t i = 0; i < len; i++) {
+            double y = u[i] - 0.5, y2 = y * y;
+            double x = y + y * (y2 * polevl(y2, NDTRI_P0, 4) / p1evl(y2, NDTRI_Q0, 8));
+            o[i] = x * NDTRI_S2PI;
+        }
+        int64_t nt = 0;
+        for (int64_t i = 0; i < len; i++) {
+            int flip = u[i] > 1.0 - NDTRI_E2;
+            double y = flip ? 1.0 - u[i] : u[i];
+            lane[nt] = i, ty[nt] = y, tsign[nt] = flip ? 1.0 : -1.0;
+            nt += y <= NDTRI_E2;
+        }
+        for (int64_t j = 0; j < nt; j++)
+            tlog[j] = log(ty[j]);
+        for (int64_t j = 0; j < nt; j++)
+            tx[j] = sqrt(-2.0 * tlog[j]);
+        for (int64_t j = 0; j < nt; j++)
+            tlog[j] = log(tx[j]);
+        for (int64_t j = 0; j < nt; j++) {
+            double x = tx[j], z = 1.0 / x, x0 = x - tlog[j] / x;
+            double near = z * polevl(z, NDTRI_P1, 8) / p1evl(z, NDTRI_Q1, 8);
+            double far = z * polevl(z, NDTRI_P2, 8) / p1evl(z, NDTRI_Q2, 8);
+            ty[j] = (x0 - (x < 8.0 ? near : far)) * tsign[j]; /* cephes negates where it did not flip */
+        }
+        for (int64_t j = 0; j < nt; j++)
+            o[lane[j]] = ty[j];
+    }
 }
 
 /* coordinates i0 .. i0+m-1 of row t, i0 a multiple of 4, m <= ROW_CHUNK */
-static void draw_row(uint64_t t, int64_t i0, int64_t m, uint64_t seed, uint64_t stream, ndtri_fn ndtri,
-                     double *row)
+static void draw_row(uint64_t t, int64_t i0, int64_t m, uint64_t seed, uint64_t stream, int gaussian, double *row)
 {
     uint64_t word[ROW_CHUNK];
     for (int64_t b = 0; b < m; b += 4)
         philox((t << 30) + (uint64_t)((i0 + b) >> 2) + 1, seed, stream, word + b);
-    if (ndtri)
-        for (int64_t i = 0; i < m; i++)
-            row[i] = ndtri(uniform(word[i]), 0);
+    if (gaussian)
+        normals(word, row, m);
     else
         for (int64_t i = 0; i < m; i++)
             row[i] = sign_of_top_bit[word[i] >> 63];
+}
+
+/* rows first .. first+count-1 of k normals each into out, row after row, as laws.sample_rows(GAUSSIAN, ...) */
+void normal_rows(uint64_t seed, uint64_t stream, uint64_t first, int64_t count, int64_t k, double *out)
+{
+    uint64_t word[ROW_CHUNK + 4];
+    int64_t m = 0;
+    for (int64_t r = 0; r < count; r++)
+        for (int64_t i = 0; i < k; i += 4) {
+            uint64_t block[4];
+            philox(((first + (uint64_t)r) << 30) + (uint64_t)(i >> 2) + 1, seed, stream, block);
+            for (int64_t j = 0; j < 4 && i + j < k; j++)
+                word[m++] = block[j];
+            if (m >= ROW_CHUNK) {
+                normals(word, out, m);
+                out += m;
+                m = 0;
+            }
+        }
+    normals(word, out, m);
 }
 
 static double sum_squares(const double *v, int64_t k, const double *weights)
@@ -98,7 +230,7 @@ static void divide(double *v, int64_t k, double d)
         v[i] /= d;
 }
 
-int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, int64_t half, double tol,
+int64_t chain_run(uint64_t seed, uint64_t stream, int gaussian, int64_t n, int64_t half, double tol,
                   const double *weights, int64_t stride, double *z, double *tail, int64_t cap,
                   double *increments, double *norms, int64_t *ist, double *dst)
 {
@@ -115,7 +247,7 @@ int64_t chain_run(uint64_t seed, uint64_t stream, ndtri_fn ndtri, int64_t n, int
         double row[ROW_CHUNK], g = -0.0;  /* -0.0 + x is x for every x, -0.0 too */
         for (int64_t i0 = 0; i0 < k; i0 += ROW_CHUNK) {
             int64_t m = k - i0 < ROW_CHUNK ? k - i0 : ROW_CHUNK;
-            draw_row((uint64_t)t, i0, m, seed, stream, ndtri, row);
+            draw_row((uint64_t)t, i0, m, seed, stream, gaussian, row);
             for (int64_t i = 0; i < m; i++)
                 g += row[i] * v[i0 + i];
         }
@@ -178,4 +310,37 @@ void fib_run(uint64_t seed, uint64_t stream, int64_t n, double *out)
             log_scale += log(m);
         }
     }
+}
+
+/* steps 1 .. n into t[1 .. n] and out[1 .. n], from t[0] = 1; returns the
+ * steps done: n, or k - 1 where the divisor of step k fell below 1e-300 */
+int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out)
+{
+    double log_scale = 0.0, sumsq = 1.0, cur_max = 1.0;
+    for (int64_t k = 1; k <= n; k++) {
+        double row[ROW_CHUNK], dot = -0.0, div = 0.0;
+        for (int64_t i0 = 0; i0 < k; i0 += ROW_CHUNK) {
+            int64_t m = k - i0 < ROW_CHUNK ? k - i0 : ROW_CHUNK;
+            draw_row((uint64_t)k, i0, m, seed, stream, 1, row);
+            for (int64_t i = 0; i < m; i++)
+                dot += row[i] * t[k - 1 - i0 - i];
+            div = row[m - 1];
+        }
+        if (fabs(div) < 1e-300)
+            return k - 1;
+        double val = dot / div;
+        t[k] = val;
+        sumsq += val * val;
+        out[k] = 2.0 * log_scale + log(sumsq);
+        double aval = fabs(val);
+        if (aval > cur_max)
+            cur_max = aval;
+        if (cur_max > 0x1p64) {  /* the max only grows between renormalizations: the state max becomes 1 */
+            divide(t, k + 1, cur_max);
+            sumsq /= cur_max * cur_max;
+            log_scale += log(cur_max);
+            cur_max = 1.0;
+        }
+    }
+    return n;
 }

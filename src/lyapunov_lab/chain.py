@@ -10,7 +10,9 @@ each step, giving bounded memory with an auditable error budget.
 run_chain runs one trajectory through a compiled kernel (_chain_kernel.c),
 or through the reference loop of _step where no C compiler is found; both
 give the same numbers bit for bit. An ensemble is a loop over run_chain,
-one stream per trajectory.
+one stream per trajectory. This module also builds and loads the kernel
+for the other loops that run in it (fib, vt and couple's rows; see
+_kernel), and checks its normals against scipy's ndtri when it loads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import alpha_bound
-from .laws import GAUSSIAN, CoefficientLaw, RngStream, sample_row
+from .laws import GAUSSIAN, CoefficientLaw, RngStream, _check_rows, draws, sample_row, sample_rows
 
 __all__ = [
     "ChainRun",
@@ -38,6 +40,7 @@ __all__ = [
     "weighted_norm",
     "run_chain",
     "chain_engine",
+    "normal_rows",
     "DEFAULT_TRUNC_TOL",
     "MIN_TRUNC_TOL",
     "MAX_TRUNC_TOL",
@@ -176,15 +179,11 @@ def run_chain(
     budget = _check_run(law, n, c, trunc_tol)
     stride = max(1, n // 100)
     half = n // 2  # the tail sums cover steps half+1 .. n
-    kernel, ndtri = _kernel(), None
-    if kernel is not None and law is GAUSSIAN:
-        ndtri = _ndtri_address()
-        if ndtri is None:
-            kernel = None
+    kernel = _kernel_for(law)
     if kernel is None:
         parts = _run_reference(law, n, rng, c, trunc_tol, stride, half)
     else:
-        parts = _run_compiled(kernel.chain_run, ndtri, n, rng, c, trunc_tol, stride, half)
+        parts = _run_compiled(kernel.chain_run, law is GAUSSIAN, n, rng, c, trunc_tol, stride, half)
     increments, norms, tail_sums, coords, log_norm, dropped = parts
     if dropped > budget:
         raise TruncationBudgetError(f"dropped l2 mass {dropped:.3e} exceeds budget {budget:.3e}")
@@ -240,26 +239,41 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_ROWS = 512  # initial state buffer; the live support settles near 110-130 at the default tolerance
 
 
-def chain_engine() -> str:
-    """The engine of run_chain: "compiled" for the C kernel, "python" for the reference loop.
+def chain_engine(law: CoefficientLaw = GAUSSIAN) -> str:
+    """The engine of the law's chains: "compiled" for the C kernel, "python" for the reference loop.
 
-    A Gaussian chain also runs the reference loop where scipy's ndtri has
-    another signature than the kernel calls (see _ndtri_address).
+    The Gaussian law runs the kernel only where its normals pass the load
+    check (see _kernel), so the default reads "compiled" only where every
+    loop of the kernel runs: the chain under both laws, fib, vt and couple.
     """
-    return "python" if _kernel() is None else "compiled"
+    return "python" if _kernel_for(law) is None else "compiled"
+
+
+def _kernel_for(law: CoefficientLaw) -> Optional[ctypes.CDLL]:
+    """The kernel that draws the law's rows, or None where the reference loops must draw them.
+
+    None for every law where the kernel cannot be built, and for the
+    Gaussian law also where the kernel's normals failed their load check.
+    """
+    kernel = _kernel()
+    if kernel is None or (law is GAUSSIAN and not kernel.normals_exact):
+        return None
+    return kernel
 
 
 @functools.cache
 def _kernel() -> Optional[ctypes.CDLL]:
-    """The library of _chain_kernel.c, chain_run and fib_run typed, or None where it cannot be built.
+    """The library of _chain_kernel.c, its functions typed, or None where it cannot be built.
 
-    run_chain and recursion.run_fibonacci run their reference loops where
-    it is None. Built on first use with gcc into the cache directory, under
-    a name keyed by the source, the flags and the compiler binary (its
-    resolved path, size and modification time), so that an edit or a new
-    compiler builds afresh, and loading a cached build starts no process.
-    The build writes a temporary file and renames it into place, so
-    processes that build at once do not see each other's partial files.
+    run_chain, recursion.run_fibonacci, recursion.run_vt and
+    gaussian.couple run their reference loops where it is None. Built on
+    first use with gcc into the cache directory, under a name keyed by the
+    source, the flags and the compiler binary (its resolved path, size and
+    modification time), so that an edit or a new compiler builds afresh,
+    and loading a cached build starts no process. The build writes a
+    temporary file and renames it into place, so processes that build at
+    once do not see each other's partial files. On load, normals_exact
+    records whether the kernel's normals equal laws.draws on _check_words.
     """
     gcc = shutil.which("gcc")
     if gcc is None:
@@ -281,18 +295,74 @@ def _kernel() -> Optional[ctypes.CDLL]:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(path)
+        lib = _load(path)
     except (OSError, subprocess.SubprocessError):
         return None
-    lib.chain_run.restype = ctypes.c_int64
-    lib.chain_run.argtypes = (
-        [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double]
-        + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-        + [ctypes.c_void_p] * 4
-    )
-    lib.fib_run.restype = None
-    lib.fib_run.argtypes = [ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]
+    lib.normals_exact = _normals_exact(lib)
     return lib
+
+
+def _load(path: str) -> ctypes.CDLL:
+    """The kernel library at path, its functions typed."""
+    u64, i64, ptr = ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
+    lib = ctypes.CDLL(path)
+    lib.chain_run.restype = i64
+    lib.chain_run.argtypes = [u64, u64, ctypes.c_int, i64, i64, ctypes.c_double, ptr, i64, ptr, ptr, i64] + [ptr] * 4
+    lib.fib_run.restype = None
+    lib.fib_run.argtypes = [u64, u64, i64, ptr]
+    lib.vt_run.restype = i64
+    lib.vt_run.argtypes = [u64, u64, i64, ptr, ptr]
+    lib.normal_rows.restype = None
+    lib.normal_rows.argtypes = [u64, u64, u64, i64, i64, ptr]
+    lib.normals.restype = None
+    lib.normals.argtypes = [ptr, ptr, i64]
+    return lib
+
+
+def _check_words() -> np.ndarray:
+    """The words of the load check of normals: 784 words from every branch of ndtri.
+
+    A word's uniform is its top 53 bits m as m 2^-53 + 2^-54. The words
+    are the 256 smallest and the 256 largest m, whose tails run from
+    x = 8.65 down to x = 7.9, across the switch at x = 8 (y = e^-32) from
+    one tail fit to the other; the m around 2^52, the uniform 0.5; 3 m on
+    each side of e^-2 and of 1 - e^-2, where the central fit gives way to
+    the tails; and 256 Philox words.
+    """
+    ms = [*range(256), *range(2**53 - 256, 2**53), 2**52 - 1, 2**52]
+    for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0)):
+        m = int(edge * 2**53)
+        ms += range(m - 3, m + 4)
+    edges = np.array(ms, dtype=np.uint64) << np.uint64(11)
+    return np.concatenate([edges, RngStream(0, 0).words(256)])
+
+
+def _normals_exact(lib: ctypes.CDLL) -> bool:
+    """Whether the kernel's normals equal laws.draws(GAUSSIAN, w), bit for bit, on _check_words.
+
+    A libm or a compiler that rounds otherwise than scipy's build shows
+    here, and the Gaussian draws then fall back to the reference loops.
+    """
+    w = _check_words()
+    out = np.empty(w.size)
+    lib.normals(w.ctypes.data, out.ctypes.data, w.size)
+    return out.tobytes() == draws(GAUSSIAN, w).tobytes()
+
+
+def normal_rows(rng: RngStream, first: int, count: int, k: int) -> np.ndarray:
+    """laws.sample_rows(GAUSSIAN, rng, first, count, k), bit for bit, from the kernel where it loads.
+
+    The kernel computes the same Philox blocks and the same normals as the
+    vectorized numpy pass of RngStream.rows and laws.draws, which run
+    where it does not. The stream's counter does not move.
+    """
+    kernel = _kernel_for(GAUSSIAN)
+    if kernel is None:
+        return sample_rows(GAUSSIAN, rng, first, count, k)
+    _check_rows(first, count, k)
+    out = np.empty((count, k))
+    kernel.normal_rows(rng.seed, rng.stream_id, first, count, k, out.ctypes.data)
+    return out
 
 
 def _cache_dir() -> str:
@@ -307,31 +377,9 @@ def _cache_dir() -> str:
     return path
 
 
-_NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
-
-
-@functools.cache
-def _ndtri_address() -> Optional[int]:
-    """Address of the C function behind scipy.special.ndtri, as laws.draws uses it.
-
-    The int of its signature is Cython's skip-dispatch flag, which the
-    kernel passes as 0. None when scipy exports another signature. Looked
-    up on the first Gaussian chain only: importing cython_special costs a
-    process about 0.7 MB that a Bernoulli or fib run need not pay.
-    """
-    from scipy.special import cython_special
-
-    capsule = cython_special.__pyx_capi__["ndtri"]
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    signature = name(capsule)
-    return pointer(capsule, signature) if signature == _NDTRI_SIGNATURE else None
-
-
 def _run_compiled(
     fn: Callable[..., int],
-    ndtri: Optional[int],
+    gaussian: bool,
     n: int,
     rng: RngStream,
     c: float,
@@ -339,7 +387,7 @@ def _run_compiled(
     stride: int,
     half: int,
 ) -> _Parts:
-    """The trajectory through chain_run, drawing normals through ndtri or signs where it is None.
+    """The trajectory through chain_run, drawing normals where gaussian is true and signs elsewhere.
 
     The buffer doubles whenever the live support fills half of it.
     """
@@ -355,7 +403,7 @@ def _run_compiled(
         # the weights of weighted_norm, from np.exp: libm's exp may round them differently
         weights = np.exp(c * np.arange(cap))
         done = fn(
-            rng.seed, rng.stream_id, ndtri,
+            rng.seed, rng.stream_id, gaussian,
             n, half, trunc_tol, weights.ctypes.data, stride,
             z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
             ist.ctypes.data, dst.ctypes.data,

@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
             "log_norm": run.log_norm,
             "support": int(run.coords.size),
             "dropped_mass": run.dropped_mass,
-            "chain_engine": chain.chain_engine(),
+            "chain_engine": chain.chain_engine(CoefficientLaw(args.law)),
         }
         files = {
             "increments.csv": (("step", "increment"), (np.arange(1, args.n + 1), run.increments)),
@@ -165,7 +165,7 @@ def _cmd_gamma(args) -> tuple[dict, dict]:
         "seed": args.seed,
     }
     if args.model == "chain":
-        results["chain_engine"] = chain.chain_engine()
+        results["chain_engine"] = chain.chain_engine(CoefficientLaw(args.law))
     return results, {}
 
 
@@ -218,7 +218,7 @@ def _cmd_tails(args) -> tuple[dict, dict]:
         "passed": stats["passed"],
         "chains": args.chains,
         "n": args.n,
-        "chain_engine": chain.chain_engine(),
+        "chain_engine": chain.chain_engine(CoefficientLaw(args.law)),
     }
     files = {
         "tails.csv": (

@@ -26,7 +26,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import erfi, exp1
 
-from .laws import GAUSSIAN, ROW_CHUNK, RngStream, sample_rows
+from .chain import normal_rows
+from .laws import ROW_CHUNK, RngStream
 
 __all__ = [
     "E_LOG1P_G2",
@@ -174,7 +175,10 @@ def couple(n: int, rng: RngStream) -> CouplingTrace:
     Only the scalar misalignment is tracked: log a^2 is evolved additively
     by F(rho, g, w) and rho recovered as sqrt(1 - exp(log a^2)), clamped to
     [0, 1]. Step t draws its (g, w) pair at rng row t-1, so a trace is a
-    pure function of (seed, stream). n is capped at COUPLE_STEP_CAP.
+    pure function of (seed, stream). The rows come ROW_CHUNK at a time
+    from chain.normal_rows, the compiled kernel where it loads and
+    laws.sample_rows elsewhere, with the same bits. n is capped at
+    COUPLE_STEP_CAP.
 
     Below log a^2 = _SURE_ALIGNED, exp(log a^2) < 2^-54, so 1 - exp(log a^2)
     rounds to 1: rho is exactly 1, a^2 = 1 - rho^2 is 0 and F takes its
@@ -198,7 +202,7 @@ def couple(n: int, rng: RngStream) -> CouplingTrace:
     rho[0] = r
     log_a2[0] = la2
     for first in range(0, n, ROW_CHUNK):
-        gw = sample_rows(GAUSSIAN, rng, first, min(ROW_CHUNK, n - first), 2)
+        gw = normal_rows(rng, first, min(ROW_CHUNK, n - first), 2)
         end = first + len(gw)  # steps first+1 .. end draw rows first .. end-1
         f_aligned = None
         t = first + 1

@@ -197,14 +197,11 @@ class RngStream:
         2-core x86-64 host (numpy 2.4) a row took 0.44 us against 6.3 us by
         seek_row + words at k = 2, 5.1 against 6.9 us at k = 64 and 11.8
         against 5.5 us at k = 128, so the crossover lies near k = 80.
-        couple's 2-word rows and the reference loop of run_fibonacci use
-        rows(); the long-row loops keep seek_row + words. The compiled
-        kernel draws fib's rows itself, one Philox block a step.
+        The reference loops of couple and run_fibonacci, on 2-word rows,
+        use rows(); the long-row loops keep seek_row + words. The compiled
+        kernel draws the rows of fib, vt, couple and the chain itself.
         """
-        if first < 0 or count < 0 or k < 0:
-            raise ValueError("first, count and k must be nonnegative")
-        if first + count > _ROWS:
-            raise ValueError(f"row {first + count - 1} is past the last row, 2^34 - 1")
+        _check_rows(first, count, k)
         blocks = (k + _BLOCK - 1) // _BLOCK
         start = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_BLOCKS_PER_ROW)
         counter = (start[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)).ravel()
@@ -222,6 +219,14 @@ class RngStream:
     def signs(self, k: int) -> np.ndarray:
         """k values in {-1.0, +1.0} from the top bit; one word each."""
         return _signs(self.words(k))
+
+
+def _check_rows(first: int, count: int, k: int) -> None:
+    """ValueError unless rows first .. first+count-1 of k words each lie in rows 0 .. 2^34 - 1."""
+    if first < 0 or count < 0 or k < 0:
+        raise ValueError("first, count and k must be nonnegative")
+    if first + count > _ROWS:
+        raise ValueError(f"row {first + count - 1} is past the last row, 2^34 - 1")
 
 
 def sample_row(law: CoefficientLaw, rng: RngStream, k: int) -> np.ndarray:

@@ -5,11 +5,15 @@
   arithmetic and in renormalized floating point.
 * run_vt: the Gaussian condition-number recursion
   t[n] = sum_{i=1..n} a[i,n] t[n-i] / a[n,n], reported through the running
-  log of the partial sums of squares (t[0]^2 included).
+  log of the partial sums of squares (t[0]^2 included), through vt_run of
+  the compiled kernel, which draws its normals itself (see
+  chain._kernel_for), or the reference loop _vt_reference.
 * run_fibonacci: the two-term random Fibonacci recursion
   f[k+1] = eps[k,0] f[k] + eps[k,1] f[k-1], through fib_run of the
   compiled kernel (see chain._kernel) or the reference loop
-  _fibonacci_reference; both give the same numbers bit for bit.
+  _fibonacci_reference.
+
+Each compiled loop gives the numbers of its reference loop bit for bit.
 
 Each step k draws its coefficient row at rng row k (see laws.ROW_STRIDE),
 so the exact and floating-point paths of the same seed see identical
@@ -25,7 +29,7 @@ from itertools import accumulate, compress
 import numpy as np
 
 from . import chain
-from .laws import BERNOULLI, ROW_CHUNK, RngStream, sample_row, sample_rows
+from .laws import BERNOULLI, GAUSSIAN, ROW_CHUNK, RngStream, sample_row, sample_rows
 from .util import log_abs_bigint
 
 __all__ = [
@@ -42,7 +46,7 @@ __all__ = [
 ]
 
 EXACT_STEP_CAP = 4096  # exact mode is a validation oracle, not a production path
-VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 1 s, 2e4 about 4 s
+VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 0.5 s in the kernel, 2e4 about 2.4 s
 FIB_STEP_CAP = 10**8  # the series holds 8 bytes a step: 800 MB at the cap
 
 _RENORM_HI = 2.0**64
@@ -129,7 +133,11 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
 
     Entry k is log(t[0]^2 + ... + t[k]^2). The state is renormalized
     whenever the largest |t| since the last renormalization exceeds 2^64.
-    Time is O(n^2), so n is capped at VT_STEP_CAP.
+    Time is O(n^2), so n is capped at VT_STEP_CAP. The compiled kernel
+    runs the loop (vt_run) where its Gaussian draws load (see
+    chain._kernel_for), _vt_reference otherwise; both give the same
+    numbers bit for bit and return the steps they did, and a run that
+    stops short raises DegenerateDivisorError here.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -137,22 +145,37 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"n={n} exceeds the O(n^2) division-recursion cap {VT_STEP_CAP}")
     t = np.empty(n + 1)
     t[0] = 1.0
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    kernel = chain._kernel_for(GAUSSIAN)
+    if kernel is None:
+        done = _vt_reference(n, rng, t, out)
+    else:
+        done = kernel.vt_run(rng.seed, rng.stream_id, n, t.ctypes.data, out.ctypes.data)
+    if done < n:
+        # the word whose top 53 bits are 2^52 gives the uniform 0.5 and so a
+        # divisor of exactly 0, once per 2^53 draws
+        raise DegenerateDivisorError(f"|a[n,n]| below 1e-300 at step {done + 1}; redrawing would bias the law")
+    return out
+
+
+def _vt_reference(n: int, rng: RngStream, t: np.ndarray, out: np.ndarray) -> int:
+    """Steps 1 .. n of run_vt into t[1 .. n] and out[1 .. n] in numpy; vt_run must match it bit for bit.
+
+    Returns the steps done: n, or k - 1 where the divisor of step k falls
+    below 1e-300. The dot product is chain._seq_sum's term-by-term sum,
+    which the kernel adds in the same order.
+    """
     log_scale = 0.0
     sumsq = 1.0
     cur_max = 1.0
-    out = np.empty(n + 1)
-    out[0] = 0.0
     for k in range(1, n + 1):
         rng.seek_row(k)
         row = rng.normals(k)
         div = row[k - 1]
-        # the word whose top 53 bits are 2^52 gives the uniform 0.5 and so a
-        # divisor of exactly 0, once per 2^53 draws
         if abs(div) < 1e-300:
-            raise DegenerateDivisorError(
-                f"|a[n,n]|={abs(div):.3e} below 1e-300 at step {k}; redrawing would bias the law"
-            )
-        val = (row @ t[k - 1 :: -1]) / div
+            return k - 1
+        val = chain._seq_sum(row * t[k - 1 :: -1]) / div
         t[k] = val
         sumsq += val * val
         out[k] = 2.0 * log_scale + math.log(sumsq)
@@ -166,7 +189,7 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
             sumsq /= cur_max * cur_max
             log_scale += math.log(cur_max)
             cur_max = 1.0
-    return out
+    return n
 
 
 def run_fibonacci(n: int, rng: RngStream) -> np.ndarray:

@@ -15,8 +15,9 @@ from lyapunov_lab.chain import (
     run_chain,
     weighted_norm,
 )
+from lyapunov_lab.gaussian import couple
 from lyapunov_lab.laws import BERNOULLI, GAUSSIAN, RngStream
-from lyapunov_lab.recursion import run_exact
+from lyapunov_lab.recursion import run_exact, run_vt
 
 
 E0 = np.array([1.0])  # the delta state every trajectory starts from
@@ -220,7 +221,7 @@ def test_kernel_steps_equal_step_on_a_flat_state(compiled, law):
         expected, inc, _ = chain._step(expected, law, rng, t, DEFAULT_TRUNC_TOL)
         incs.append(inc)
 
-    fn, ndtri = chain._kernel().chain_run, chain._ndtri_address()
+    fn = chain._kernel().chain_run
     cap = 4096
     z = np.zeros(cap)
     z[cap - k :] = coords
@@ -228,7 +229,7 @@ def test_kernel_steps_equal_step_on_a_flat_state(compiled, law):
     ist = np.array([first, cap - k, k, 0], dtype=np.int64)
     dst = np.zeros(2)
     done = fn(
-        11, 2, ndtri if law is GAUSSIAN else None, n, n, DEFAULT_TRUNC_TOL, np.ones(cap).ctypes.data, 1,
+        11, 2, law is GAUSSIAN, n, n, DEFAULT_TRUNC_TOL, np.ones(cap).ctypes.data, 1,
         z.ctypes.data, tail.ctypes.data, cap, increments.ctypes.data, norms.ctypes.data,
         ist.ctypes.data, dst.ctypes.data,
     )  # fmt: skip
@@ -362,6 +363,8 @@ FAILING_GCC = "#!/bin/sh\nexit 1\n"
 @pytest.mark.parametrize("compiler", [None, FAILING_GCC], ids=["missing", "failing"])
 def test_without_a_compiler_run_chain_falls_back_to_the_reference(fresh_kernel, tmp_path, monkeypatch, compiler):
     expected = [run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL) for law in (BERNOULLI, GAUSSIAN)]
+    # vt and couple draw their normals in the kernel too
+    vt, trace = run_vt(300, RngStream(2, 4)), couple(300, RngStream(2, 5))
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     if compiler is not None:
@@ -374,5 +377,7 @@ def test_without_a_compiler_run_chain_falls_back_to_the_reference(fresh_kernel, 
     assert chain.chain_engine() == "python"
     for law, ref in zip((BERNOULLI, GAUSSIAN), expected):
         _assert_same_run(run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL), ref)
+    assert run_vt(300, RngStream(2, 4)).tobytes() == vt.tobytes()
+    assert couple(300, RngStream(2, 5)).log_a2.tobytes() == trace.log_a2.tobytes()
     cache = tmp_path / "lyapunov_lab"
     assert not cache.exists() or not list(cache.iterdir())  # a failed build leaves no file behind

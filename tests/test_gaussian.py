@@ -241,7 +241,7 @@ def test_couple_climb_far_above_the_aligned_threshold(monkeypatch):
     n = 1000
     rows = sample_rows(GAUSSIAN, RngStream(314, 15), 0, n, 2)
     rows[300, 1] = 1e4
-    monkeypatch.setattr(gaussian, "sample_rows", lambda law, rng, first, count, k: rows[first : first + count])
+    monkeypatch.setattr(gaussian, "normal_rows", lambda rng, first, count, k: rows[first : first + count])
     tr = couple(n, RngStream(314, 15))
     rho, log_a2, log_b = _couple_per_row(n, RngStream(314, 15), rows.tolist())
     assert log_a2[300] < gaussian._SURE_ALIGNED and 0.0 < rho[301] < 1.0
