@@ -1,5 +1,6 @@
 /* The loops of the package that run in compiled code, bit for bit: one
- * trajectory of chain.run_chain (chain_run), one run of the random
+ * trajectory of chain.run_chain (chain_run), one run of the exact integer
+ * recursion of recursion.run_exact (exact_run), one run of the random
  * Fibonacci recursion of recursion.run_fibonacci (fib_run), one run of the
  * division recursion of recursion.run_vt (vt_run), a block of Gaussian rows
  * as laws.sample_rows draws them (normal_rows), and the inverse normal CDF
@@ -45,6 +46,17 @@
  *
  * vt: step k reads the k normals of row k and is the loop of
  * recursion._vt_reference written out in C.
+ *
+ * Exact: step k reads the k + 1 sign words of row k, from the same blocks
+ * as draw_row, and forms x[k+1] = 2 P - S_k, P the sum of the x[j] whose
+ * sign is +1 and S_k the sum of the history, as recursion._exact_reference
+ * does in Python integers; here they are integers of 64-bit limbs in two's
+ * complement, stored limb-major so that limb l of every x[j] is contiguous.
+ * A sign becomes the mask (word >> 63) - 1, all ones for +1, and P adds the
+ * 32-bit halves of x & mask in 64-bit sums, one carry per limb: a loop with
+ * no branch, which vectorizes. It adds only the limbs live so far and one
+ * more, where the sum may grow. The arithmetic is mod 2^64 per limb, so
+ * every build and clone gives the same integers.
  */
 #include <math.h>
 #include <stdint.h>
@@ -52,7 +64,7 @@
 
 #define ROW_CHUNK 256 /* coordinates drawn at a time; a multiple of the 4 words of a block */
 
-/* normals runs in one clone per x86-64 level, chosen when the library loads
+/* normals and exact_run run in one clone per x86-64 level, chosen when the library loads
  * (GCC 11 names the levels, and glibc resolves the choice);
  * -DKERNEL_NO_CLONES builds the default clone alone, as hosts below v3 run it */
 #if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 11 && !defined(KERNEL_NO_CLONES)
@@ -343,4 +355,58 @@ int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out
         }
     }
     return n;
+}
+
+/* x[0 .. n] of the exact recursion, x[0] = 1, in w limbs of two's complement,
+ * limb l of x[j] at x[l * (n + 1) + j]; every value is sign-extended through
+ * all w limbs. sum holds S_k, also in w limbs, and mask n + 1 words. Returns
+ * the live limbs: every x[j] is that many limbs wide as a signed integer. */
+CLONES int64_t exact_run(uint64_t seed, uint64_t stream, int64_t n, int64_t w, uint64_t *x, uint64_t *sum,
+                         uint64_t *mask)
+{
+    int64_t stride = n + 1, live = 1;
+    for (int64_t l = 0; l < w; l++)
+        x[l * stride] = sum[l] = l == 0;
+    for (int64_t k = 0; k < n; k++) {
+        /* word i of row k signs x[k - i]; the mask keeps x[j] where its sign is +1 */
+        for (int64_t b = 0; b <= k; b += 4) {
+            uint64_t word[4];
+            philox(((uint64_t)k << 30) + (uint64_t)(b >> 2) + 1, seed, stream, word);
+            for (int64_t i = 0; i < 4 && b + i <= k; i++)
+                mask[k - b - i] = (word[i] >> 63) - 1;
+        }
+        /* |x[k+1]| <= (k + 1) max |x[j]|, so one headroom limb holds it, and
+         * x[k+1] = 2 P - S_k taken mod 2^(64 m) is x[k+1] itself */
+        int64_t m = live + 1;
+        uint64_t *out = x + k + 1, carry = 0, top = 0, borrow = 0;
+        for (int64_t l = 0; l < m; l++) {
+            const uint64_t *xl = x + l * stride;
+            uint64_t lo = 0, hi = 0;  /* the halves of limb l of P, each below 2^45 */
+            for (int64_t j = 0; j <= k; j++) {
+                uint64_t v = xl[j] & mask[j];
+                lo += v & 0xFFFFFFFFu;
+                hi += v >> 32;
+            }
+            __uint128_t p = (__uint128_t)lo + ((__uint128_t)hi << 32) + carry;
+            carry = (uint64_t)(p >> 64);
+            uint64_t twice = (uint64_t)p << 1 | top;  /* limb l of 2 P */
+            top = (uint64_t)p >> 63;
+            __uint128_t d = (__uint128_t)twice - sum[l] - borrow;
+            out[l * stride] = (uint64_t)d;
+            borrow = (uint64_t)(d >> 64) & 1;
+        }
+        uint64_t ext = (uint64_t)((int64_t)out[(m - 1) * stride] >> 63);
+        for (int64_t l = m; l < w; l++)
+            out[l * stride] = ext;
+        /* live + 1 < w holds by the bound on |x|; tested all the same, so that no build writes past x */
+        if (live + 1 < w && out[live * stride] != (uint64_t)((int64_t)out[(live - 1) * stride] >> 63))
+            live++;
+        carry = 0;
+        for (int64_t l = 0; l < w; l++) {
+            __uint128_t s = (__uint128_t)sum[l] + out[l * stride] + carry;
+            sum[l] = (uint64_t)s;
+            carry = (uint64_t)(s >> 64);
+        }
+    }
+    return live;
 }

@@ -11,7 +11,7 @@ run_chain runs one trajectory through a compiled kernel (_chain_kernel.c),
 or through the reference loop of _step where no C compiler is found; both
 give the same numbers bit for bit. An ensemble is a loop over run_chain,
 one stream per trajectory. This module also builds and loads the kernel
-for the other loops that run in it (fib, vt and couple's rows; see
+for the other loops that run in it (exact, fib, vt and couple's rows; see
 _kernel), and checks its normals against scipy's ndtri when it loads.
 """
 
@@ -244,7 +244,7 @@ def chain_engine(law: CoefficientLaw = GAUSSIAN) -> str:
 
     The Gaussian law runs the kernel only where its normals pass the load
     check (see _kernel), so the default reads "compiled" only where every
-    loop of the kernel runs: the chain under both laws, fib, vt and couple.
+    loop of the kernel runs: the chain under both laws, exact, fib, vt and couple.
     """
     return "python" if _kernel_for(law) is None else "compiled"
 
@@ -265,15 +265,16 @@ def _kernel_for(law: CoefficientLaw) -> Optional[ctypes.CDLL]:
 def _kernel() -> Optional[ctypes.CDLL]:
     """The library of _chain_kernel.c, its functions typed, or None where it cannot be built.
 
-    run_chain, recursion.run_fibonacci, recursion.run_vt and
-    gaussian.couple run their reference loops where it is None. Built on
-    first use with gcc into the cache directory, under a name keyed by the
-    source, the flags and the compiler binary (its resolved path, size and
-    modification time), so that an edit or a new compiler builds afresh,
-    and loading a cached build starts no process. The build writes a
-    temporary file and renames it into place, so processes that build at
-    once do not see each other's partial files. On load, normals_exact
-    records whether the kernel's normals equal laws.draws on _check_words.
+    run_chain, recursion.run_exact, recursion.run_fibonacci,
+    recursion.run_vt and gaussian.couple run their reference loops where
+    it is None. Built on first use with gcc into the cache directory,
+    under a name keyed by the source, the flags and the compiler binary
+    (its resolved path, size and modification time), so that an edit or a
+    new compiler builds afresh, and loading a cached build starts no
+    process. The build writes a temporary file and renames it into place,
+    so processes that build at once do not see each other's partial files.
+    On load, normals_exact records whether the kernel's normals equal
+    laws.draws on _check_words.
     """
     gcc = shutil.which("gcc")
     if gcc is None:
@@ -312,6 +313,8 @@ def _load(path: str) -> ctypes.CDLL:
     lib.fib_run.argtypes = [u64, u64, i64, ptr]
     lib.vt_run.restype = i64
     lib.vt_run.argtypes = [u64, u64, i64, ptr, ptr]
+    lib.exact_run.restype = i64
+    lib.exact_run.argtypes = [u64, u64, i64, i64, ptr, ptr, ptr]
     lib.normal_rows.restype = None
     lib.normal_rows.argtypes = [u64, u64, u64, i64, i64, ptr]
     lib.normals.restype = None

@@ -2,7 +2,10 @@
 
 * run_exact / run_exact_float: the full-history signed-sum recursion
   x[k+1] = sum_i eps[k,i] * x[k-i] with x[0] = 1, in exact big-integer
-  arithmetic and in renormalized floating point.
+  arithmetic and in renormalized floating point. run_exact runs through
+  exact_run of the compiled kernel (see chain._kernel), which adds the
+  integers in 64-bit limbs and draws its signs itself, or the reference
+  loop _exact_reference in Python integers.
 * run_vt: the Gaussian condition-number recursion
   t[n] = sum_{i=1..n} a[i,n] t[n-i] / a[n,n], reported through the running
   log of the partial sums of squares (t[0]^2 included), through vt_run of
@@ -22,6 +25,7 @@ coefficients even though they consume different numbers of words.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -45,7 +49,7 @@ __all__ = [
     "FIB_STEP_CAP",
 ]
 
-EXACT_STEP_CAP = 4096  # exact mode is a validation oracle, not a production path
+EXACT_STEP_CAP = 4096  # the kernel holds (n + 1)((n + 1) // 64 + 2) 8-byte limbs: 2.2 MB at the cap
 VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 0.5 s in the kernel, 2e4 about 2.4 s
 FIB_STEP_CAP = 10**8  # the series holds 8 bytes a step: 800 MB at the cap
 
@@ -86,13 +90,35 @@ def run_exact(n: int, rng: RngStream) -> ExactTrajectory:
     Each step uses x[k+1] = sum_i eps[k,i] x[k-i] = 2 * (sum of the x[j]
     whose sign is +1) - S_k, where S_k = x[0] + ... + x[k] is the running
     sum of the history; the integers are those of the signed sum term by
-    term. Memory and time are O(n^2) bits, so n is capped at
-    EXACT_STEP_CAP.
+    term. The compiled kernel runs the loop (exact_run) where it loads,
+    _exact_reference otherwise; both give the same integers. n is capped
+    at EXACT_STEP_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXACT_STEP_CAP:
         raise ValueError(f"n={n} exceeds exact-arithmetic cap {EXACT_STEP_CAP}")
+    kernel = chain._kernel()
+    values = _exact_reference(n, rng) if kernel is None else _exact_compiled(kernel, n, rng)
+    return ExactTrajectory(values=values)
+
+
+def _exact_compiled(kernel: ctypes.CDLL, n: int, rng: RngStream) -> list[int]:
+    """x[0 .. n] of run_exact through the kernel's exact_run, rebuilt as Python integers."""
+    # |x[k]| <= 2^(k-1), so w 64-bit limbs hold every value with its sign bit
+    w = (n + 1) // 64 + 2
+    x = np.empty((w, n + 1), dtype=np.uint64)
+    total = np.empty(w, dtype=np.uint64)
+    mask = np.empty(n + 1, dtype=np.uint64)
+    live = kernel.exact_run(rng.seed, rng.stream_id, n, w, x.ctypes.data, total.ctypes.data, mask.ctypes.data)
+    # the limbs are limb-major; value j is the little-endian run of column j's live limbs
+    size = 8 * live
+    data = np.ascontiguousarray(x[:live].T, dtype="<u8").tobytes()
+    return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
+
+
+def _exact_reference(n: int, rng: RngStream) -> list[int]:
+    """x[0 .. n] of run_exact in Python big integers; exact_run must give the same integers."""
     values = [1]
     total = 1
     for k in range(n):
@@ -101,7 +127,7 @@ def run_exact(n: int, rng: RngStream) -> ExactTrajectory:
         x = 2 * sum(compress(values, plus)) - total
         values.append(x)
         total += x
-    return ExactTrajectory(values=values)
+    return values
 
 
 def run_exact_float(n: int, rng: RngStream) -> np.ndarray:

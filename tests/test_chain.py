@@ -363,8 +363,9 @@ FAILING_GCC = "#!/bin/sh\nexit 1\n"
 @pytest.mark.parametrize("compiler", [None, FAILING_GCC], ids=["missing", "failing"])
 def test_without_a_compiler_run_chain_falls_back_to_the_reference(fresh_kernel, tmp_path, monkeypatch, compiler):
     expected = [run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL) for law in (BERNOULLI, GAUSSIAN)]
-    # vt and couple draw their normals in the kernel too
+    # vt and couple draw their normals in the kernel too, and exact its signs
     vt, trace = run_vt(300, RngStream(2, 4)), couple(300, RngStream(2, 5))
+    exact = run_exact(300, RngStream(2, 6)).values
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     if compiler is not None:
@@ -379,5 +380,6 @@ def test_without_a_compiler_run_chain_falls_back_to_the_reference(fresh_kernel, 
         _assert_same_run(run_chain(law, 400, RngStream(2, 3), trunc_tol=MAX_TRUNC_TOL), ref)
     assert run_vt(300, RngStream(2, 4)).tobytes() == vt.tobytes()
     assert couple(300, RngStream(2, 5)).log_a2.tobytes() == trace.log_a2.tobytes()
+    assert run_exact(300, RngStream(2, 6)).values == exact
     cache = tmp_path / "lyapunov_lab"
     assert not cache.exists() or not list(cache.iterdir())  # a failed build leaves no file behind

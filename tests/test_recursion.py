@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lyapunov_lab import chain, recursion
+from lyapunov_lab import chain, recursion, verification
 from lyapunov_lab.laws import ROW_CHUNK, RngStream
 from lyapunov_lab.recursion import (
     EXACT_STEP_CAP,
@@ -57,6 +57,52 @@ def test_all_plus_doubles(monkeypatch):
 def test_exact_matches_term_by_term_signed_sum(seed, stream, n):
     # the oracle of exact_determinism: the signed sum of the recursion, one term at a time
     assert run_exact(n, RngStream(seed, stream)).values == _signed_sums(n, RngStream(seed, stream))
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**64 - 1, 2**63 + 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1500, EXACT_STEP_CAP])
+def test_exact_kernel_equals_reference_bit_for_bit(compiled, n, seed, stream):
+    traj = run_exact(n, RngStream(seed, stream))
+    reference = recursion._exact_reference(n, RngStream(seed, stream))
+    assert traj.values == reference
+    assert traj.log_norm_series().tobytes() == recursion.ExactTrajectory(reference).log_norm_series().tobytes()
+    if n < EXACT_STEP_CAP or stream == 3:  # the term-by-term sum takes about 3 s at the cap
+        assert traj.values == _signed_sums(n, RngStream(seed, stream))
+    if n >= 1500:
+        # the values passed 64 and 128 bits, so the sums carried across limbs and the live limbs grew
+        assert max(v.bit_length() for v in traj.values) > 128
+
+
+def test_exact_kernel_default_clone_equals_the_host_clone(compiled, tmp_path):
+    # hosts below x86-64-v3 run the default clone of exact_run
+    from test_normals import _build
+
+    lib = _build(tmp_path, "default", defines=("-DKERNEL_NO_CLONES",))
+    for seed, stream, n in ((0, 0, 5), (7, 3, 700), (2**64 - 1, 11, 2000)):
+        assert recursion._exact_compiled(lib, n, RngStream(seed, stream)) == run_exact(n, RngStream(seed, stream)).values
+
+
+# mutations of exact_run, each a text of _chain_kernel.c and its replacement
+EXACT_MUTATIONS = {
+    "headroom-dropped": ("int64_t m = live + 1;", "int64_t m = live;"),
+    "carry-dropped": (
+        "__uint128_t p = (__uint128_t)lo + ((__uint128_t)hi << 32) + carry;",
+        "__uint128_t p = (__uint128_t)lo + ((__uint128_t)hi << 32);",
+    ),
+    "sign-from-bit-62": ("mask[k - b - i] = (word[i] >> 63) - 1;", "mask[k - b - i] = (word[i] >> 62 & 1) - 1;"),
+}
+
+
+@pytest.mark.parametrize("mutation", EXACT_MUTATIONS)
+def test_mutated_exact_kernels_are_caught(compiled, tmp_path, monkeypatch, mutation):
+    from test_normals import _build
+
+    lib = _build(tmp_path, mutation, replace=EXACT_MUTATIONS[mutation])
+    assert recursion._exact_compiled(lib, 300, RngStream(0, 0)) != recursion._exact_reference(300, RngStream(0, 0))
+    # verify's exact_determinism checks run_exact against numpy's Philox, not the kernel's
+    lib.normals_exact = True
+    monkeypatch.setattr(chain, "_kernel", lambda: lib)
+    assert not verification.check_exact_determinism().passed
 
 
 def test_first_step_is_a_sign():
