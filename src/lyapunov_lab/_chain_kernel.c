@@ -3,8 +3,9 @@
  * recursion of recursion.run_exact (exact_run), one run of the random
  * Fibonacci recursion of recursion.run_fibonacci (fib_run), one run of the
  * division recursion of recursion.run_vt (vt_run), a block of Gaussian rows
- * as laws.sample_rows draws them (normal_rows), and the inverse normal CDF
- * of words (normals).
+ * as laws.sample_rows draws them (normal_rows), the inverse normal CDF
+ * of words (normals), and rows of CSV numbers in the bytes of
+ * cli._write_csv's "%s"/"%.17g" line (csv_rows), byte for byte.
  *
  * Every loop draws the same Philox-4x64-10 words as laws.RngStream (key
  * (seed, stream), word 4j+i of row t is word i of the block at counter
@@ -57,6 +58,19 @@
  * no branch, which vectorizes. It adds only the limbs live so far and one
  * more, where the sum may grow. The arithmetic is mod 2^64 per limb, so
  * every build and clone gives the same integers.
+ *
+ * CSV: the 17 significant digits of |v| = m 2^e, m < 2^53, are the integer
+ * nearest v 10^(16 - E), E = floor(log10 |v|), ties to even, as Python's
+ * correctly rounded "%.17g" takes them. They come from exact __uint128_t
+ * arithmetic alone: m 5^k 2^(e + k) for k = 16 - E <= 32, or m 2^e divided
+ * by 10^-k. E is first guessed from the binary exponent, and then fixed
+ * from the value before rounding; it moves up one where rounding reaches
+ * 10^17. The layout is C's %g: trailing zeros stripped, scientific form
+ * for E < -4 or E >= 17, two exponent digits at least. ±0, ±inf and nan
+ * are written directly; any other float with |v| < 10^-16 (subnormals
+ * too) or |v| >= 2^120 makes csv_rows return -1, and the caller writes
+ * those rows itself. No libm call and no floating-point operation enters
+ * the digits, so every build writes the same bytes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -409,4 +423,173 @@ CLONES int64_t exact_run(uint64_t seed, uint64_t stream, int64_t n, int64_t w, u
         }
     }
     return live;
+}
+
+/* CSV text: "%.17g" of a float64, "%s" of an int64, in Python's bytes */
+#define P16 10000000000000000ULL  /* 10^16 */
+#define P17 100000000000000000ULL /* 10^17 */
+#define E_MIN (-16) /* the least exponent written: k = 16 - E <= 32 keeps m 5^k below 2^53 5^32 < 2^128 */
+
+/* floor(x) of x = m 2^e 10^k, 0 <= x < 10^18, into *q, and whether x rounds up from it,
+ * half to even, into *up; pow5 holds 5^0 .. 5^(16 - E_MIN) */
+static void scaled(uint64_t m, int e, int k, const __uint128_t *pow5, uint64_t *q, int *up)
+{
+    __uint128_t rest, unit; /* the fraction of x, and 1, counted in units of 2^s (k >= 0) or of 10^k */
+    if (k >= 0) {
+        __uint128_t n = (__uint128_t)m * pow5[k];
+        int s = e + k;
+        if (s >= 0) {
+            *q = (uint64_t)(n << s);
+            *up = 0;
+            return;
+        }
+        *q = (uint64_t)(n >> -s);
+        unit = (__uint128_t)1 << -s;
+        rest = n & (unit - 1);
+    } else { /* E >= 17, so |v| >= 2^54 and e >= 2; |v| < 2^120 keeps m 2^e in 128 bits */
+        __uint128_t n = (__uint128_t)m << e;
+        unit = pow5[-k] << -k;
+        *q = (uint64_t)(n / unit);
+        rest = n % unit;
+    }
+    *up = 2 * rest > unit || (2 * rest == unit && (*q & 1));
+}
+
+/* |v| = (2^52 + f) 2^(be - 1075), a normal double, as the digits q in [10^16, 10^17) and the
+ * exponent E of its 17 significant digits, q 10^(E - 16); -1 where |v| < 10^E_MIN or >= 2^120,
+ * and for a subnormal, be = 0, which lies below */
+static int digits17(uint64_t be, uint64_t f, const __uint128_t *pow5, uint64_t *digits, int *exp10)
+{
+    uint64_t m = f | 1ULL << 52, q;
+    int e = (int)be - 1075, b = (int)be - 1023, up; /* |v| = m 2^e in [2^b, 2^(b+1)) */
+    int E = (b * 78913) >> 18; /* floor(b log10 2): floor(log10 |v|) is this or one more */
+    if (E < E_MIN - 1 || b >= 120)
+        return -1;
+    if (E < E_MIN)
+        E = E_MIN;
+    scaled(m, e, 16 - E, pow5, &q, &up);
+    if (q >= P17) { /* E from the value before rounding */
+        E++;
+        scaled(m, e, 16 - E, pow5, &q, &up);
+    } else if (q < P16) { /* only where E was raised to E_MIN */
+        return -1;
+    }
+    q += up;
+    if (q == P17) { /* rounded up to the next power of ten */
+        q = P16;
+        E++;
+    }
+    *digits = q, *exp10 = E;
+    return 0;
+}
+
+static const char PAIRS[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                            "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                            "8081828384858687888990919293949596979899";
+
+/* the n decimal digits of u, leading zeros included */
+static void put_digits(char *d, uint32_t u, int n)
+{
+    for (; n >= 2; n -= 2, u /= 100)
+        memcpy(d + n - 2, PAIRS + 2 * (u % 100), 2);
+    if (n)
+        d[0] = (char)('0' + u);
+}
+
+/* v as "%.17g" writes it, where v is 0, inf, nan or of the exact range; returns the end, or NULL */
+static char *put_float(char *p, double v, const __uint128_t *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, 8);
+    uint64_t be = bits >> 52 & 0x7FF, f = bits & ((1ULL << 52) - 1);
+    if (be == 0x7FF && f) { /* nan, of either sign */
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (be == 0x7FF) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (be == 0 && f == 0) {
+        *p = '0';
+        return p + 1;
+    }
+    uint64_t q;
+    int E;
+    if (digits17(be, f, pow5, &q, &E))
+        return NULL;
+    char d[17];
+    put_digits(d, (uint32_t)(q / 100000000), 9);
+    put_digits(d + 9, (uint32_t)(q % 100000000), 8);
+    int nd = 17; /* the digits left when the trailing zeros are stripped */
+    while (nd > 1 && d[nd - 1] == '0')
+        nd--;
+    if (E < -4 || E >= 17) { /* d.ddde+XX, two exponent digits since E_MIN <= E < 37 */
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, nd - 1);
+            p += nd - 1;
+        }
+        int a = E < 0 ? -E : E;
+        p[0] = 'e', p[1] = E < 0 ? '-' : '+', p[2] = (char)('0' + a / 10), p[3] = (char)('0' + a % 10);
+        return p + 4;
+    }
+    if (E >= 0) { /* the integer digits, then what is left of the fraction */
+        memcpy(p, d, E + 1);
+        p += E + 1;
+        if (nd > E + 1) {
+            *p++ = '.';
+            memcpy(p, d + E + 1, nd - E - 1);
+            p += nd - E - 1;
+        }
+        return p;
+    }
+    memcpy(p, "0.0000", 1 - E); /* 0.ddd to 0.000ddd */
+    p += 1 - E;
+    memcpy(p, d, nd);
+    return p + nd;
+}
+
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    char d[20];
+    int n = 0;
+    do
+        d[n++] = (char)('0' + u % 10);
+    while (u /= 10);
+    if (v < 0)
+        *p++ = '-';
+    while (n)
+        *p++ = d[--n];
+    return p;
+}
+
+/* nrows rows of ncols cells as CSV lines into out: cells[r * ncols + j] is a float64 where
+ * kinds[j] is 'f' and an int64 elsewhere; a cell and its separator take at most 24 bytes.
+ * Returns the bytes written, or -1 where a float is nonzero and finite but outside the
+ * exact range, 10^E_MIN <= |v| < 2^120, and the caller formats the rows itself. */
+int64_t csv_rows(const uint64_t *cells, int64_t nrows, int64_t ncols, const char *kinds, char *out)
+{
+    __uint128_t pow5[17 - E_MIN] = {1};
+    for (int i = 1; i < 17 - E_MIN; i++)
+        pow5[i] = pow5[i - 1] * 5;
+    char *p = out;
+    for (int64_t r = 0; r < nrows; r++)
+        for (int64_t j = 0; j < ncols; j++) {
+            uint64_t w = cells[r * ncols + j];
+            if (kinds[j] == 'f') {
+                double v;
+                memcpy(&v, &w, 8);
+                if (!(p = put_float(p, v, pow5)))
+                    return -1;
+            } else {
+                p = put_int(p, (int64_t)w);
+            }
+            *p++ = j + 1 < ncols ? ',' : '\n';
+        }
+    return p - out;
 }

@@ -11,8 +11,9 @@ run_chain runs one trajectory through a compiled kernel (_chain_kernel.c),
 or through the reference loop of _step where no C compiler is found; both
 give the same numbers bit for bit. An ensemble is a loop over run_chain,
 one stream per trajectory. This module also builds and loads the kernel
-for the other loops that run in it (exact, fib, vt and couple's rows; see
-_kernel), and checks its normals against scipy's ndtri when it loads.
+for the other loops that run in it (exact, fib, vt, couple's rows and the
+CSV writer's numbers; see _kernel), and checks its normals against
+scipy's ndtri when it loads.
 """
 
 from __future__ import annotations
@@ -266,15 +267,16 @@ def _kernel() -> Optional[ctypes.CDLL]:
     """The library of _chain_kernel.c, its functions typed, or None where it cannot be built.
 
     run_chain, recursion.run_exact, recursion.run_fibonacci,
-    recursion.run_vt and gaussian.couple run their reference loops where
-    it is None. Built on first use with gcc into the cache directory,
-    under a name keyed by the source, the flags and the compiler binary
-    (its resolved path, size and modification time), so that an edit or a
-    new compiler builds afresh, and loading a cached build starts no
-    process. The build writes a temporary file and renames it into place,
-    so processes that build at once do not see each other's partial files.
-    On load, normals_exact records whether the kernel's normals equal
-    laws.draws on _check_words.
+    recursion.run_vt and gaussian.couple run their reference loops, and
+    cli._write_csv formats every number itself, where it is None. Built
+    on first use with gcc into the cache directory, under a name keyed by
+    the source, the flags and the compiler binary (its resolved path, size
+    and modification time), so that an edit or a new compiler builds
+    afresh, and loading a cached build starts no process. The build
+    writes a temporary file and renames it into place, so processes that
+    build at once do not see each other's partial files. On load,
+    normals_exact records whether the kernel's normals equal laws.draws
+    on _check_words.
     """
     gcc = shutil.which("gcc")
     if gcc is None:
@@ -319,6 +321,8 @@ def _load(path: str) -> ctypes.CDLL:
     lib.normal_rows.argtypes = [u64, u64, u64, i64, i64, ptr]
     lib.normals.restype = None
     lib.normals.argtypes = [ptr, ptr, i64]
+    lib.csv_rows.restype = i64
+    lib.csv_rows.argtypes = [ptr, i64, i64, ctypes.c_char_p, ptr]
     return lib
 
 

@@ -115,6 +115,15 @@ def test_csv_array_columns_are_written_cell_by_cell_rule(tmp_path):
     cli._write_csv(str(path), ("step", "x", "flag"), [steps, x, x > 0.0])
     rows = [f"{i},{v:.17g},{v > 0.0}" for i, v in zip(steps.tolist(), x.tolist())]
     assert path.read_text() == "step,x,flag\n" + "".join(row + "\n" for row in rows)
+    # an int64 and float64 table, which the compiled kernel writes but for the
+    # chunks 1 and 3, where a float lies outside its range
+    n = 4 * ROW_CHUNK + 9
+    y = np.where(RngStream(4).normals(n) > 0.0, 1.0, -1.0) * 10.0 ** np.linspace(-15, 35, n)
+    y[[0, 1, 2, ROW_CHUNK + 5, 3 * ROW_CHUNK + 1]] = [-0.0, -np.inf, np.nan, 1e-300, -(2.0**125)]
+    ints = np.arange(n) - n // 2
+    cli._write_csv(str(path), ("i", "y"), [ints, y])
+    rows = [f"{i},{v:.17g}" for i, v in zip(ints.tolist(), y.tolist())]
+    assert path.read_text() == "i,y\n" + "".join(row + "\n" for row in rows)
 
 
 def test_simulate_chain_outputs(tmp_path, capsys):

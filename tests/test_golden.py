@@ -5,7 +5,8 @@ words and run_exact's integers; these digests pin what numpy, scipy's
 ndtri, libm and the compiler flags add on top of them: the chain under
 both laws with and without weights, the fib and vt recursions, the
 coupling trace, and the estimate that `gamma` prints for each model.
-Both chain engines give the same bytes. A digest that fails after an
+Both chain engines give the same bytes. Three CSV files are pinned by
+the sha256 of their bytes, which both CSV writers must give. A digest that fails after an
 upgrade or on another host is a finding about that environment, not a
 reason to re-record it; a change that means to move these numbers says
 so and records the new digests.
@@ -17,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from lyapunov_lab import chain, cli
 from lyapunov_lab.chain import run_chain
 from lyapunov_lab.cli import dispatch
 from lyapunov_lab.gaussian import couple
@@ -89,3 +91,34 @@ def test_gamma_estimate_is_pinned(capsys, flags, gamma_hat, stderr):
     assert dispatch(["gamma", "--model", *flags.split(), "--seed", str(SEED)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert (result["gamma_hat"], result["stderr"]) == (gamma_hat, stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        ("couple --n 5000 --seed 1", "trace.csv", "17a8fef2d0663b19ea87a302a45af19f9944d94b50846fbdddd2993abb60a231"),
+        (
+            "simulate --model exact --n 1500 --seed 1",
+            "series.csv",
+            "e3e3a625ed15fe6dd05a6ad4fbea559cd133113a5e80a8a66948be3594aec7c6",
+        ),
+        ("tails", "tails.csv", "ee8de2a37f337b6239026d2a09d68433e186df82546f42fc60f248e57cc8737b"),
+    ],
+    ids=["couple", "exact", "tails"],
+)
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, name, digest):
+    # recorded when every CSV number went through the %-format; the kernel's csv_rows must give the same bytes
+    write, tables = cli._write_csv, {}
+
+    def record(path, header, columns):
+        tables[path] = (header, columns)
+        write(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    assert dispatch([*argv.split(), "--out", str(tmp_path), "--no-timestamps"]) == 0
+    capsys.readouterr()
+    path = tmp_path / name
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    monkeypatch.setattr(chain, "_kernel", lambda: None)  # the same table through the %-format alone
+    write(str(path), *tables[str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
