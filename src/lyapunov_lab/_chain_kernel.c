@@ -5,20 +5,20 @@
  * division recursion of recursion.run_vt (vt_run), a block of Gaussian rows
  * as laws.sample_rows draws them (normal_rows), the inverse normal CDF
  * of words (normals), and rows of CSV numbers in the bytes of
- * cli._write_csv's "%s"/"%.17g" line (csv_rows), byte for byte.
+ * cli._cell_rule, str(v) and f"{v:.17g}" (csv_rows), byte for byte.
  *
- * Every loop draws the same Philox-4x64-10 words as laws.RngStream (key
- * (seed, stream), word 4j+i of row t is word i of the block at counter
- * t*2^30 + j + 1). A sign comes from the top bit, looked up as laws._signs
- * does. A normal is ndtri of the uniform of the top 53 bits, as laws.draws
- * computes it with scipy.special.ndtri; normals() is cephes ndtri, the
- * algorithm behind scipy's, with the same constants and the same order of
- * operations, so it gives the same bits (see normals below). The chain
- * runs the same float operations in the same order as chain._step and
+ * Every loop draws the Philox-4x64-10 words of numpy's generator, which
+ * laws.RngStream reads: key (seed, stream), and word 4j+i of row t is word i
+ * of block row_block(t, j). A sign comes from the top bit, looked up as
+ * laws._signs does. A normal is ndtri of the uniform of the top 53 bits, as
+ * laws.draws computes it with scipy.special.ndtri; normals() is cephes
+ * ndtri, the algorithm behind scipy's, with the same constants and the same
+ * order of operations, so it gives the same bits (see normals below). The
+ * chain runs the same float operations in the same order as chain._step and
  * chain._truncate, and vt those of recursion._vt_reference: every sum runs
  * term by term from x[0], as chain._seq_sum does.
  *
- * A chain or vt step draws its row ROW_CHUNK coordinates at a time, the
+ * A chain or vt step draws its row DRAW_CHUNK coordinates at a time, the
  * Philox blocks first and then their signs (a table lookup, not a branch on
  * a random bit) or normals, and only then adds row[i] * v[i] into the dot
  * product, carried from chunk to chunk in index order: the blocks and the
@@ -42,11 +42,9 @@
  * the buffer must grow, after which the caller moves the block into a
  * larger buffer and calls again.
  *
- * Fibonacci: step k reads words 0 and 1 of row k, one Philox block, and
- * is the loop of recursion._fibonacci_reference written out in C.
- *
- * vt: step k reads the k normals of row k and is the loop of
- * recursion._vt_reference written out in C.
+ * Fibonacci and vt: step k reads words 0 and 1 of row k, one Philox block,
+ * or the k normals of row k, and is the loop of _fibonacci_reference or of
+ * _vt_reference in recursion written out in C.
  *
  * Exact: step k reads the k + 1 sign words of row k, from the same blocks
  * as draw_row, and forms x[k+1] = 2 P - S_k, P the sum of the x[j] whose
@@ -63,20 +61,18 @@
  * nearest v 10^(16 - E), E = floor(log10 |v|), ties to even, as Python's
  * correctly rounded "%.17g" takes them. They come from exact __uint128_t
  * arithmetic alone: m 5^k 2^(e + k) for k = 16 - E <= 32, or m 2^e divided
- * by 10^-k. E is first guessed from the binary exponent, and then fixed
- * from the value before rounding; it moves up one where rounding reaches
- * 10^17. The layout is C's %g: trailing zeros stripped, scientific form
- * for E < -4 or E >= 17, two exponent digits at least. ±0, ±inf and nan
- * are written directly; any other float with |v| < 10^-16 (subnormals
- * too) or |v| >= 2^120 makes csv_rows return -1, and the caller writes
- * those rows itself. No libm call and no floating-point operation enters
- * the digits, so every build writes the same bytes.
+ * by 10^-k (E: see digits17). The layout is C's %g: trailing zeros stripped,
+ * scientific form for E < -4 or E >= 17, two exponent digits at least. ±0,
+ * ±inf and nan are written directly; any other float with |v| < 10^-16
+ * (subnormals too) or |v| >= 2^120 makes csv_rows return -1, and the caller
+ * writes those rows by its cell rule. No libm call and no floating-point
+ * operation enters the digits, so every build writes the same bytes.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-#define ROW_CHUNK 256 /* coordinates drawn at a time; a multiple of the 4 words of a block */
+#define DRAW_CHUNK 256 /* coordinates drawn at a time; a multiple of the 4 words of a block */
 
 /* normals and exact_run run in one clone per x86-64 level, chosen when the library loads
  * (GCC 11 names the levels, and glibc resolves the choice);
@@ -103,6 +99,12 @@ static void philox(uint64_t c0, uint64_t k0, uint64_t k1, uint64_t out[4])
         k1 += 0xBB67AE8584CAA73BULL;
     }
     out[0] = c0, out[1] = c1, out[2] = c2, out[3] = c3;
+}
+
+/* the counter of block j of row t, whose words start at t 2^32; numpy's Philox adds 1 before each block */
+static inline uint64_t row_block(uint64_t t, int64_t j)
+{
+    return (t << 30) + (uint64_t)j + 1;
 }
 
 /* cephes ndtri (Moshier, Cephes Math Library 2.8): central rational fit
@@ -169,12 +171,12 @@ static inline double p1evl(double x, const double *c, int n)
  * x < 8. The tail values overwrite the central values of their lanes. */
 CLONES void normals(const uint64_t *words, double *out, int64_t m)
 {
-    double u[ROW_CHUNK], ty[ROW_CHUNK], tsign[ROW_CHUNK], tx[ROW_CHUNK], tlog[ROW_CHUNK];
-    int64_t lane[ROW_CHUNK];
-    for (int64_t b = 0; b < m; b += ROW_CHUNK) {
+    double u[DRAW_CHUNK], ty[DRAW_CHUNK], tsign[DRAW_CHUNK], tx[DRAW_CHUNK], tlog[DRAW_CHUNK];
+    int64_t lane[DRAW_CHUNK];
+    for (int64_t b = 0; b < m; b += DRAW_CHUNK) {
         const uint64_t *w = words + b;
         double *o = out + b;
-        int64_t len = m - b < ROW_CHUNK ? m - b : ROW_CHUNK;
+        int64_t len = m - b < DRAW_CHUNK ? m - b : DRAW_CHUNK;
         for (int64_t i = 0; i < len; i++) {
             /* laws._uniforms: m 2^-53 + 2^-54, and 2^53 - 1, which would round up to 1.0, clamped */
             double v = (double)(w[i] >> 11) * 0x1p-53 + 0x1p-54;
@@ -209,12 +211,12 @@ CLONES void normals(const uint64_t *words, double *out, int64_t m)
     }
 }
 
-/* coordinates i0 .. i0+m-1 of row t, i0 a multiple of 4, m <= ROW_CHUNK */
+/* coordinates i0 .. i0+m-1 of row t, i0 a multiple of 4, m <= DRAW_CHUNK */
 static void draw_row(uint64_t t, int64_t i0, int64_t m, uint64_t seed, uint64_t stream, int gaussian, double *row)
 {
-    uint64_t word[ROW_CHUNK];
+    uint64_t word[DRAW_CHUNK];
     for (int64_t b = 0; b < m; b += 4)
-        philox((t << 30) + (uint64_t)((i0 + b) >> 2) + 1, seed, stream, word + b);
+        philox(row_block(t, (i0 + b) >> 2), seed, stream, word + b);
     if (gaussian)
         normals(word, row, m);
     else
@@ -225,15 +227,13 @@ static void draw_row(uint64_t t, int64_t i0, int64_t m, uint64_t seed, uint64_t 
 /* rows first .. first+count-1 of k normals each into out, row after row, as laws.sample_rows(GAUSSIAN, ...) */
 void normal_rows(uint64_t seed, uint64_t stream, uint64_t first, int64_t count, int64_t k, double *out)
 {
-    uint64_t word[ROW_CHUNK + 4];
+    uint64_t word[DRAW_CHUNK + 4];
     int64_t m = 0;
     for (int64_t r = 0; r < count; r++)
         for (int64_t i = 0; i < k; i += 4) {
-            uint64_t block[4];
-            philox(((first + (uint64_t)r) << 30) + (uint64_t)(i >> 2) + 1, seed, stream, block);
-            for (int64_t j = 0; j < 4 && i + j < k; j++)
-                word[m++] = block[j];
-            if (m >= ROW_CHUNK) {
+            philox(row_block(first + (uint64_t)r, i >> 2), seed, stream, word + m); /* m < DRAW_CHUNK, so 4 fit */
+            m += k - i < 4 ? k - i : 4;
+            if (m >= DRAW_CHUNK) {
                 normals(word, out, m);
                 out += m;
                 m = 0;
@@ -270,9 +270,9 @@ int64_t chain_run(uint64_t seed, uint64_t stream, int gaussian, int64_t n, int64
             front = cap - k;
         }
         const double *v = z + front;
-        double row[ROW_CHUNK], g = -0.0;  /* -0.0 + x is x for every x, -0.0 too */
-        for (int64_t i0 = 0; i0 < k; i0 += ROW_CHUNK) {
-            int64_t m = k - i0 < ROW_CHUNK ? k - i0 : ROW_CHUNK;
+        double row[DRAW_CHUNK], g = -0.0;  /* -0.0 + x is x for every x, -0.0 too */
+        for (int64_t i0 = 0; i0 < k; i0 += DRAW_CHUNK) {
+            int64_t m = k - i0 < DRAW_CHUNK ? k - i0 : DRAW_CHUNK;
             draw_row((uint64_t)t, i0, m, seed, stream, gaussian, row);
             for (int64_t i = 0; i < m; i++)
                 g += row[i] * v[i0 + i];
@@ -322,7 +322,7 @@ void fib_run(uint64_t seed, uint64_t stream, int64_t n, double *out)
     double a = 1.0, b = 1.0, log_scale = 0.0;  /* (f[k], f[k-1]), renormalized */
     for (int64_t k = 1; k < n; k++) {
         uint64_t word[4];
-        philox(((uint64_t)k << 30) + 1, seed, stream, word);
+        philox(row_block((uint64_t)k, 0), seed, stream, word);
         double e0 = sign_of_top_bit[word[0] >> 63], e1 = sign_of_top_bit[word[1] >> 63];
         double next = e0 * a + e1 * b;
         b = a;
@@ -344,9 +344,9 @@ int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out
 {
     double log_scale = 0.0, sumsq = 1.0, cur_max = 1.0;
     for (int64_t k = 1; k <= n; k++) {
-        double row[ROW_CHUNK], dot = -0.0, div = 0.0;
-        for (int64_t i0 = 0; i0 < k; i0 += ROW_CHUNK) {
-            int64_t m = k - i0 < ROW_CHUNK ? k - i0 : ROW_CHUNK;
+        double row[DRAW_CHUNK], dot = -0.0, div = 0.0;
+        for (int64_t i0 = 0; i0 < k; i0 += DRAW_CHUNK) {
+            int64_t m = k - i0 < DRAW_CHUNK ? k - i0 : DRAW_CHUNK;
             draw_row((uint64_t)k, i0, m, seed, stream, 1, row);
             for (int64_t i = 0; i < m; i++)
                 dot += row[i] * t[k - 1 - i0 - i];
@@ -385,7 +385,7 @@ CLONES int64_t exact_run(uint64_t seed, uint64_t stream, int64_t n, int64_t w, u
         /* word i of row k signs x[k - i]; the mask keeps x[j] where its sign is +1 */
         for (int64_t b = 0; b <= k; b += 4) {
             uint64_t word[4];
-            philox(((uint64_t)k << 30) + (uint64_t)(b >> 2) + 1, seed, stream, word);
+            philox(row_block((uint64_t)k, b >> 2), seed, stream, word);
             for (int64_t i = 0; i < 4 && b + i <= k; i++)
                 mask[k - b - i] = (word[i] >> 63) - 1;
         }
@@ -571,7 +571,7 @@ static char *put_int(char *p, int64_t v)
 /* nrows rows of ncols cells as CSV lines into out: cells[r * ncols + j] is a float64 where
  * kinds[j] is 'f' and an int64 elsewhere; a cell and its separator take at most 24 bytes.
  * Returns the bytes written, or -1 where a float is nonzero and finite but outside the
- * exact range, 10^E_MIN <= |v| < 2^120, and the caller formats the rows itself. */
+ * exact range, 10^E_MIN <= |v| < 2^120, and the caller writes the rows by its cell rule. */
 int64_t csv_rows(const uint64_t *cells, int64_t nrows, int64_t ncols, const char *kinds, char *out)
 {
     __uint128_t pow5[17 - E_MIN] = {1};

@@ -268,7 +268,7 @@ def _kernel() -> Optional[ctypes.CDLL]:
 
     run_chain, recursion.run_exact, recursion.run_fibonacci,
     recursion.run_vt and gaussian.couple run their reference loops, and
-    cli._write_csv formats every number itself, where it is None. Built
+    cli._write_csv formats every cell in Python, where it is None. Built
     on first use with gcc into the cache directory, under a name keyed by
     the source, the flags and the compiler binary (its resolved path, size
     and modification time), so that an edit or a new compiler builds
@@ -359,9 +359,10 @@ def _normals_exact(lib: ctypes.CDLL) -> bool:
 def normal_rows(rng: RngStream, first: int, count: int, k: int) -> np.ndarray:
     """laws.sample_rows(GAUSSIAN, rng, first, count, k), bit for bit, from the kernel where it loads.
 
-    The kernel computes the same Philox blocks and the same normals as the
-    vectorized numpy pass of RngStream.rows and laws.draws, which run
-    where it does not. The stream's counter does not move.
+    The kernel computes the same Philox blocks as numpy's generator and
+    the same normals as laws.draws; where it does not load, sample_rows
+    draws the rows one seek_row + words call at a time. The stream's
+    counter does not move.
     """
     kernel = _kernel_for(GAUSSIAN)
     if kernel is None:

@@ -4,8 +4,8 @@ Every subcommand prints a JSON (or per-check) summary to stdout and, when
 --out names an output directory, writes exactly one manifest.json plus the
 data CSVs for the run. Parameters come from argv only. All CSV numbers
 carry 17 significant digits so re-parsing round-trips exactly, in the
-bytes of Python's "%.17g" whether the compiled kernel (csv_rows) or the
-%-format writes them; rerunning a command with the same parameters and
+bytes of Python's f"{v:.17g}" whether the compiled kernel (csv_rows) or
+Python writes them; rerunning a command with the same parameters and
 seed reproduces every emitted number bit for bit (--no-timestamps makes
 the whole directory byte-identical).
 
@@ -38,26 +38,28 @@ __all__ = ["dispatch", "main"]
 _CSV_CELL = 32
 
 
+def _cell_rule(rows):
+    """Rows of cells for csv.writer: a float (np.float64 is one) as f"{v:.17g}", any other cell as str(v)."""
+    return ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """A table given by its columns; floats (np.float64 is one) as %.17g, every other cell as str(v).
+    """A table given by its columns, every cell by _cell_rule, through csv.writer.
 
     Rows stop at the end of the shortest column, as zip stops. A table of
-    numpy arrays is written ROW_CHUNK rows at a time, each row through one
-    %-format whose field for a column is fixed by its dtype; no number
-    needs csv quoting. Where every column is int64 or float64 and the
-    compiled kernel loads, its csv_rows writes each chunk in the same
-    bytes, and the %-format runs only for a chunk that holds a float it
-    refuses (nonzero with |v| < 1e-16, or |v| >= 2^120). Any other table
-    goes cell by cell through csv.writer, which quotes a cell such as
-    verify's "1e-5, MC 3 se".
+    numpy arrays is written ROW_CHUNK rows at a time. Where every column
+    is int64 or float64 and the compiled kernel loads, its csv_rows
+    writes each chunk in the same bytes, and Python writes only a chunk
+    that holds a float it refuses (nonzero with |v| < 1e-16, or
+    |v| >= 2^120). csv.writer quotes a cell such as verify's
+    "1e-5, MC 3 se"; no number needs quoting.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if not all(isinstance(c, np.ndarray) for c in columns):
-            writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in zip(*columns))
+            writer.writerows(_cell_rule(zip(*columns)))
             return
-        line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
         n = min(map(len, columns))
         kernel = chain._kernel() if all(c.dtype in (np.int64, np.float64) for c in columns) else None
         if kernel is not None:
@@ -65,14 +67,13 @@ def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) ->
             kinds = "".join("f" if c.dtype == np.float64 else "i" for c in columns).encode()
             text = np.empty(ROW_CHUNK * len(columns) * _CSV_CELL, dtype=np.uint8)
         for start in range(0, n, ROW_CHUNK):
+            count = min(ROW_CHUNK, n - start)
             if kernel is not None:
-                count = min(ROW_CHUNK, n - start)
                 size = kernel.csv_rows(cells[start:].ctypes.data, count, len(columns), kinds, text.ctypes.data)
                 if size >= 0:
                     fh.write(text[:size].tobytes().decode("ascii"))
                     continue
-            rows = zip(*(c[start : start + ROW_CHUNK].tolist() for c in columns))
-            fh.write("".join(map(line.__mod__, rows)))
+            writer.writerows(_cell_rule(zip(*(c[start : start + count].tolist() for c in columns))))
 
 
 def _now(enabled: bool) -> Optional[str]:

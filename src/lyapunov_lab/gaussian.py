@@ -176,9 +176,9 @@ def couple(n: int, rng: RngStream) -> CouplingTrace:
     by F(rho, g, w) and rho recovered as sqrt(1 - exp(log a^2)), clamped to
     [0, 1]. Step t draws its (g, w) pair at rng row t-1, so a trace is a
     pure function of (seed, stream). The rows come ROW_CHUNK at a time
-    from chain.normal_rows, the compiled kernel where it loads and
-    laws.sample_rows elsewhere, with the same bits. n is capped at
-    COUPLE_STEP_CAP.
+    from chain.normal_rows: the compiled kernel where it loads, and
+    numpy's Philox through laws.sample_rows elsewhere, with the same bits.
+    n is capped at COUPLE_STEP_CAP.
 
     Below log a^2 = _SURE_ALIGNED, exp(log a^2) < 2^-54, so 1 - exp(log a^2)
     rounds to 1: rho is exactly 1, a^2 = 1 - rho^2 is 0 and F takes its

@@ -1,9 +1,11 @@
 """Coefficient laws and the counter-based random stream they draw from.
 
-Every simulation in this package consumes randomness through RngStream,
-whose output is a pure function of (seed, stream_id, counter). That makes
-whole trajectories replayable bit-for-bit and lets independent trajectories
-run on separate streams without any shared state.
+Every simulation in this package draws the words of RngStream, whose
+output is a pure function of (seed, stream_id, counter). That makes whole
+trajectories replayable bit-for-bit and lets independent trajectories run
+on separate streams without any shared state. In Python the words come
+from numpy's Philox alone; the compiled kernel (see chain._kernel)
+computes the same Philox blocks in C.
 """
 
 from __future__ import annotations
@@ -64,46 +66,16 @@ recursion (exact, floating-point, normalized) on identical coefficients.
 """
 
 ROW_CHUNK = 4096
-"""Rows per RngStream.rows call in the loops over short rows, and per write of a CSV table.
+"""Rows per call in the loops over short rows, and per csv_rows call when a CSV table is written.
 
-Large enough that the per-call cost of the vectorized Philox is spread
-thin, small enough that a chunk's temporaries stay a few hundred KB
-instead of growing with the length of the run.
+couple draws its rows through chain.normal_rows and the Fibonacci
+reference loop through sample_rows, ROW_CHUNK at a time: large enough
+that the cost of a call is spread thin, small enough that a chunk's
+temporaries stay a few hundred KB instead of growing with the length of
+the run.
 """
 
-# Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11): the two round multipliers and the Weyl increments of the key
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_BLOCKS_PER_ROW = ROW_STRIDE // _BLOCK
 _ROWS = 1 << 34  # rows 0 .. 2^34 - 1: their blocks' counter values fit one 64-bit limb
-
-
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products a * m, by 32-bit limbs."""
-    m0, m1 = m & _LO32, m >> _S32
-    a0, a1 = a & _LO32, a >> _S32
-    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
-    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = a1 * m1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return hi, a * m
-
-
-def _philox4x64(counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
-    """Philox-4x64-10 blocks of the counters (c, 0, 0, 0); shape (counter.size, 4)."""
-    zero = np.zeros_like(counter)
-    c0, c1, c2, c3 = counter, zero, zero, zero
-    for r in range(_PHILOX_ROUNDS):
-        # the key is bumped in Python integers: numpy warns when scalars wrap
-        k0 = np.uint64((key[0] + r * _PHILOX_W[0]) % (1 << 64))
-        k1 = np.uint64((key[1] + r * _PHILOX_W[1]) % (1 << 64))
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=1)
 
 
 _SIGN_OF_TOP_BIT = np.array([1.0, -1.0])
@@ -131,7 +103,7 @@ def _uniforms(w: np.ndarray) -> np.ndarray:
 
 
 class RngStream:
-    """Counter-based random stream backed by Philox-4x64.
+    """Counter-based random stream backed by numpy's Philox-4x64.
 
     The word at counter position c is a pure function of
     (seed, stream_id, c). Exactly one 64-bit word is consumed per variate:
@@ -181,33 +153,6 @@ class RngStream:
         self.counter += k
         return raw[off : off + k]
 
-    def rows(self, first: int, count: int, k: int) -> np.ndarray:
-        """The first k words of rows first .. first+count-1, shape (count, k).
-
-        Row r of the result equals seek_row(first + r) followed by words(k),
-        bit for bit, but all rows come from one vectorized Philox pass in
-        numpy instead of one generator call per row. The stream's counter
-        does not move. Word 4j+i of row r is word i of Philox block
-        r * 2^30 + j, which numpy's generator evaluates at counter value
-        block + 1 because it increments its counter before each block;
-        that value must fit in the counter's low 64-bit limb, so rows stop
-        below 2^34.
-
-        The pass costs per word where the per-row path costs per call: on a
-        2-core x86-64 host (numpy 2.4) a row took 0.44 us against 6.3 us by
-        seek_row + words at k = 2, 5.1 against 6.9 us at k = 64 and 11.8
-        against 5.5 us at k = 128, so the crossover lies near k = 80.
-        The reference loops of couple and run_fibonacci, on 2-word rows,
-        use rows(); the long-row loops keep seek_row + words. The compiled
-        kernel draws the rows of fib, vt, couple and the chain itself.
-        """
-        _check_rows(first, count, k)
-        blocks = (k + _BLOCK - 1) // _BLOCK
-        start = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_BLOCKS_PER_ROW)
-        counter = (start[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)).ravel()
-        raw = _philox4x64(counter, (self.seed, self.stream_id))
-        return raw.reshape(count, blocks * _BLOCK)[:, :k]
-
     def uniforms(self, k: int) -> np.ndarray:
         """k uniforms on the open interval (0, 1); one word each."""
         return _uniforms(self.words(k))
@@ -239,10 +184,18 @@ def sample_row(law: CoefficientLaw, rng: RngStream, k: int) -> np.ndarray:
 def sample_rows(law: CoefficientLaw, rng: RngStream, first: int, count: int, k: int) -> np.ndarray:
     """Rows first .. first+count-1 of k draws each, shape (count, k).
 
-    Equal bit for bit to seek_row(r) + sample_row(law, rng, k) for each r;
-    the stream's counter does not move (see RngStream.rows).
+    Row r is seek_row(first + r) + sample_row(law, rng, k), bit for bit:
+    the words of each row come from seek_row + words, and the draws from
+    one draws call on the block. The stream's counter does not move.
     """
-    return draws(law, rng.rows(first, count, k))
+    _check_rows(first, count, k)
+    counter = rng.counter
+    w = np.empty((count, k), dtype=np.uint64)
+    for r in range(count):
+        rng.seek_row(first + r)
+        w[r] = rng.words(k)
+    rng.counter = counter
+    return draws(law, w)
 
 
 def draws(law: CoefficientLaw, w: np.ndarray) -> np.ndarray:

@@ -454,10 +454,9 @@ def _out_of_domain_cases() -> st.SearchStrategy:
     return st.one_of(cases)
 
 
-# every simulation draws rows through one of these, or runs the chain through one of these
+# every row drawn in Python starts with seek_row (sample_rows too), and every chain runs through one of these
 _SIMULATION_ENTRIES = [
     (RngStream, "seek_row"),
-    (RngStream, "rows"),
     (chain, "_run_compiled"),
     (chain, "_run_reference"),
 ]

@@ -143,7 +143,7 @@ def test_write_csv_bytes_equal_without_the_kernel(lib, tmp_path, monkeypatch):
     real = lib.csv_rows
     monkeypatch.setattr(lib, "csv_rows", lambda *a: calls.append(real(*a)) or calls[-1])
     cli._write_csv(str(tmp_path / "kernel.csv"), ("i", "x", "y"), columns)
-    # the kernel writes chunks 0, 2 and 4 and refuses 1 and 3, which the %-format writes
+    # the kernel writes chunks 0, 2 and 4 and refuses 1 and 3, which the cell rule writes
     assert [size < 0 for size in calls] == [False, True, False, True, False]
     monkeypatch.setattr(chain, "_kernel", lambda: None)
     cli._write_csv(str(tmp_path / "python.csv"), ("i", "x", "y"), columns)

@@ -176,7 +176,7 @@ def test_couple_replay_bit_identical():
 
 
 def _couple_per_row(n: int, rng: RngStream, rows=None):
-    # reference: one seek_row + normals(2) per step from rho = 0, the loop before rows(),
+    # reference: one seek_row + normals(2) per step from rho = 0,
     # or the given (g, w) rows
     rho, log_a2, log_b = np.empty(n + 1), np.empty(n + 1), np.zeros(n + 1)
     r = 0.0

@@ -103,11 +103,17 @@ def test_gamma_estimate_is_pinned(capsys, flags, gamma_hat, stderr):
             "e3e3a625ed15fe6dd05a6ad4fbea559cd133113a5e80a8a66948be3594aec7c6",
         ),
         ("tails", "tails.csv", "ee8de2a37f337b6239026d2a09d68433e186df82546f42fc60f248e57cc8737b"),
+        # the kernel refuses this table's one chunk, whose smallest means lie below 1e-16
+        (
+            "simulate --model chain --law gaussian --n 300",
+            "tail_means.csv",
+            "f7e255cb18b0fcd0ccc2eb1ff0837efab58c9f943e20f33c2a2e4135c0d38ca1",
+        ),
     ],
-    ids=["couple", "exact", "tails"],
+    ids=["couple", "exact", "tails", "chain-tail-means"],
 )
 def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, name, digest):
-    # recorded when every CSV number went through the %-format; the kernel's csv_rows must give the same bytes
+    # recorded when every CSV number went through Python's "%.17g"; the kernel's csv_rows must give the same bytes
     write, tables = cli._write_csv, {}
 
     def record(path, header, columns):
@@ -119,6 +125,6 @@ def test_csv_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, name, digest)
     capsys.readouterr()
     path = tmp_path / name
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    monkeypatch.setattr(chain, "_kernel", lambda: None)  # the same table through the %-format alone
+    monkeypatch.setattr(chain, "_kernel", lambda: None)  # the same table through the cell rule alone
     write(str(path), *tables[str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

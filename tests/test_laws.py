@@ -191,7 +191,7 @@ def test_invalid_stream_parameters():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
-    for row in (-1, 2**34):  # rows run from 0 to 2^34 - 1, as in rows()
+    for row in (-1, 2**34):  # rows run from 0 to 2^34 - 1, as in sample_rows()
         with pytest.raises(ValueError):
             RngStream(0).seek_row(row)
     # non-integers are refused, not truncated
@@ -204,7 +204,7 @@ def test_invalid_stream_parameters():
 
 
 # Words of rows 0, 1 and 2^34 - 1 as literals, so that a change moving
-# words(), rows() and the chain kernel together still fails here.
+# words(), sample_rows() and the chain kernel together still fails here.
 _PINNED_WORDS = {
     (0, 0, 0): [
         213000021201967259, 4455796210202625458, 2055444239878205049,
@@ -238,7 +238,9 @@ def test_row_words_are_pinned(seed, stream, row):
     rng = RngStream(seed, stream)
     rng.seek_row(row)
     assert rng.words(5).tolist() == _PINNED_WORDS[seed, stream, row]
-    assert rng.rows(row, 1, 5)[0].tolist() == _PINNED_WORDS[seed, stream, row]
+    words = np.array(_PINNED_WORDS[seed, stream, row], dtype=np.uint64)
+    for law in (BERNOULLI, GAUSSIAN):
+        assert sample_rows(law, rng, row, 1, 5)[0].tobytes() == draws(law, words).tobytes()
 
 
 def test_exact_run_is_pinned():
@@ -253,14 +255,15 @@ def test_exact_run_is_pinned():
 def test_rows_match_seek_row_and_words(seed, stream, first):
     rng = RngStream(seed, stream)
     rng.words(17)
-    for k in (1, 2, 3, 4, 5, 130):
-        got = rng.rows(first, 2, k)
-        assert got.shape == (2, k) and got.dtype == np.uint64
-        for i in range(2):
-            ref = RngStream(seed, stream)
-            ref.seek_row(first + i)
-            assert np.array_equal(got[i], ref.words(k))
-    assert rng.counter == 17  # rows() does not move the stream
+    for law in (BERNOULLI, GAUSSIAN):
+        for k in (1, 2, 3, 4, 5, 130):
+            got = sample_rows(law, rng, first, 2, k)
+            assert got.shape == (2, k) and got.dtype == np.float64
+            for i in range(2):
+                ref = RngStream(seed, stream)
+                ref.seek_row(first + i)
+                assert got[i].tobytes() == draws(law, ref.words(k)).tobytes()
+    assert rng.counter == 17  # sample_rows() does not move the stream
 
 
 def test_sample_rows_match_sample_row():
@@ -275,16 +278,17 @@ def test_sample_rows_match_sample_row():
 
 def test_rows_empty_and_rejected():
     rng = RngStream(1, 2)
-    assert rng.rows(5, 0, 3).shape == (0, 3)
-    assert rng.rows(5, 3, 0).shape == (3, 0)
-    rng.rows(2**34 - 1, 1, 2)  # the last row that fits
-    with pytest.raises(ValueError):
-        rng.rows(2**34, 1, 2)
-    with pytest.raises(ValueError):
-        rng.rows(2**34 - 1, 2, 2)
+    assert sample_rows(BERNOULLI, rng, 5, 0, 3).shape == (0, 3)
+    assert sample_rows(GAUSSIAN, rng, 5, 3, 0).shape == (3, 0)
+    sample_rows(BERNOULLI, rng, 2**34 - 1, 1, 2)  # the last row that fits
+    with pytest.raises(ValueError, match="past the last row"):
+        sample_rows(BERNOULLI, rng, 2**34, 1, 2)
+    with pytest.raises(ValueError, match="past the last row"):
+        sample_rows(BERNOULLI, rng, 2**34 - 1, 2, 2)
     for args in ((-1, 1, 2), (0, -1, 2), (0, 1, -1)):
-        with pytest.raises(ValueError):
-            rng.rows(*args)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_rows(GAUSSIAN, rng, *args)
+    assert rng.counter == 0
 
 
 def test_words_match_philox_advance():

@@ -273,10 +273,14 @@ def test_vt_reference_stops_at_a_degenerate_divisor(monkeypatch):
 
 @pytest.mark.parametrize(
     "first, count, k",
-    [(0, 1, 2), (0, 255, 2), (7, 257, 2), (0, 4096, 2), (4000, 4097, 2), (3, 300, 3), (9, 2, 513)],
-)
+    [
+        (0, 1, 2), (0, 255, 2), (7, 257, 2), (0, 4096, 2), (4000, 4097, 2), (3, 300, 3), (9, 2, 513),
+        (2**31 - 1, 3, 5), (2**32, 3, 2), (2**34 - 3, 3, 7),
+    ],
+)  # fmt: skip
 def test_normal_rows_equal_sample_rows_bit_for_bit(compiled, first, count, k):
-    # blocks of 256 words cross rows wherever k does not divide 256; 4096 is couple's chunk of rows
+    # blocks of 256 words cross rows wherever k does not divide 256; 4096 is couple's chunk of rows;
+    # rows 2^31 - 1 to 2^34 - 1 set the high bits of the block counter t << 30
     rows = chain.normal_rows(RngStream(2**64 - 1, 5), first, count, k)
     assert rows.shape == (count, k)
     assert rows.tobytes() == sample_rows(GAUSSIAN, RngStream(2**64 - 1, 5), first, count, k).tobytes()

@@ -266,7 +266,7 @@ def test_fibonacci_random_rate_matches_oracle():
 
 
 def _fibonacci_per_row(n: int, rng: RngStream) -> np.ndarray:
-    # reference: one seek_row + signs(2) per step, the loop before rows()
+    # reference: one seek_row + signs(2) per step
     out = np.empty(n + 1)
     out[0] = out[1] = 0.0
     a, b = 1.0, 1.0
