@@ -18,12 +18,12 @@
  * chain._truncate, and vt those of recursion._vt_reference: every sum runs
  * term by term from x[0], as chain._seq_sum does.
  *
- * A chain or vt step draws its row DRAW_CHUNK coordinates at a time, the
- * Philox blocks first and then their signs (a table lookup, not a branch on
- * a random bit) or normals, and only then adds row[i] * v[i] into the dot
- * product, carried from chunk to chunk in index order: the blocks and the
- * normals, independent of one another, overlap out of order instead of
- * waiting on the adds.
+ * A chain step draws its row DRAW_CHUNK coordinates at a time, and a vt step
+ * VT_CHUNK at a time, the Philox blocks first and then their signs (a table
+ * lookup, not a branch on a random bit) or normals, and only then adds
+ * row[i] * v[i] into the dot product, carried from chunk to chunk in index
+ * order: the blocks and the normals, independent of one another, overlap out
+ * of order instead of waiting on the adds.
  *
  * Built with -O3 -ffp-contract=off and no fast-math: no product and sum
  * fuse into one rounding, and GCC reorders a floating-point sum only
@@ -42,9 +42,15 @@
  * the buffer must grow, after which the caller moves the block into a
  * larger buffer and calls again.
  *
- * Fibonacci and vt: step k reads words 0 and 1 of row k, one Philox block,
- * or the k normals of row k, and is the loop of _fibonacci_reference or of
- * _vt_reference in recursion written out in C.
+ * Fibonacci: step k reads words 0 and 1 of row k, one Philox block, and is
+ * the loop of _fibonacci_reference in recursion written out in C.
+ *
+ * vt: step k is the loop of _vt_reference, which adds all k terms of row k,
+ * but stops drawing the row once no term left can move the sum: |t| grows
+ * about geometrically, so in row k only the first ~70 terms reach half an
+ * ulp of the dot product, and adding the rest leaves it as it is (see vt_run
+ * for why the cut is exact). A step then draws the divisor's block alone,
+ * and a run of n = 3000 steps draws about 1/21 of the sum of k normals.
  *
  * Exact: step k reads the k + 1 sign words of row k, from the same blocks
  * as draw_row, and forms x[k+1] = 2 P - S_k, P the sum of the x[j] whose
@@ -338,19 +344,42 @@ void fib_run(uint64_t seed, uint64_t stream, int64_t n, double *out)
     }
 }
 
+#define VT_CHUNK 16   /* coordinates of a vt row drawn at a time: 4 Philox blocks */
+#define VT_BOUND 16.0 /* a power of two above every |normal|: |ndtri(2^-54)| = 8.29 is the largest */
+
 /* steps 1 .. n into t[1 .. n] and out[1 .. n], from t[0] = 1; returns the
- * steps done: n, or k - 1 where the divisor of step k fell below 1e-300 */
-int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out)
+ * steps done: n, or k - 1 where the divisor of step k fell below 1e-300.
+ * peak holds n + 1 doubles, peak[j] = max |t[0 .. j]|; *drawn counts the normals drawn.
+ *
+ * Once i coordinates of row k are drawn, every term left is row[i'] t[k-1-i'] with
+ * |row[i']| < VT_BOUND and |t[k-1-i']| <= peak[k-1-i], so its product rounds to at most
+ * VT_BOUND peak[k-1-i], a power of two times a double and so exact. Where that is below
+ * |dot| 2^-55, below half the gap to either neighbour of dot, dot + term rounds back to
+ * dot, and dot never moves again: the row stops there and draws only the divisor's block.
+ * |dot| >= 2^-900 keeps |dot| 2^-55 a normal double, exact, and leaves 0 and nan uncut. */
+int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out, double *peak, int64_t *drawn)
 {
     double log_scale = 0.0, sumsq = 1.0, cur_max = 1.0;
+    *drawn = 0;
+    peak[0] = fabs(t[0]);
     for (int64_t k = 1; k <= n; k++) {
-        double row[DRAW_CHUNK], dot = -0.0, div = 0.0;
-        for (int64_t i0 = 0; i0 < k; i0 += DRAW_CHUNK) {
-            int64_t m = k - i0 < DRAW_CHUNK ? k - i0 : DRAW_CHUNK;
-            draw_row((uint64_t)k, i0, m, seed, stream, 1, row);
-            for (int64_t i = 0; i < m; i++)
-                dot += row[i] * t[k - 1 - i0 - i];
+        double row[VT_CHUNK], dot = -0.0, div;
+        int64_t i = 0, m;  /* i: the coordinates drawn */
+        do {
+            m = k - i < VT_CHUNK ? k - i : VT_CHUNK;
+            draw_row((uint64_t)k, i, m, seed, stream, 1, row);
+            for (int64_t j = 0; j < m; j++)
+                dot += row[j] * t[k - 1 - i - j];
+            i += m;
+        } while (i < k && !(fabs(dot) >= 0x1p-900 && VT_BOUND * peak[k - 1 - i] < fabs(dot) * 0x1p-55));
+        *drawn += i;
+        if (i == k) {
             div = row[m - 1];
+        } else {  /* cut: the divisor, word k - 1, alone */
+            uint64_t word[4];
+            philox(row_block((uint64_t)k, (k - 1) >> 2), seed, stream, word);
+            normals(word + ((k - 1) & 3), &div, 1);
+            ++*drawn;
         }
         if (fabs(div) < 1e-300)
             return k - 1;
@@ -361,11 +390,15 @@ int64_t vt_run(uint64_t seed, uint64_t stream, int64_t n, double *t, double *out
         double aval = fabs(val);
         if (aval > cur_max)
             cur_max = aval;
+        peak[k] = aval > peak[k - 1] ? aval : peak[k - 1];
         if (cur_max > 0x1p64) {  /* the max only grows between renormalizations: the state max becomes 1 */
             divide(t, k + 1, cur_max);
             sumsq /= cur_max * cur_max;
             log_scale += log(cur_max);
             cur_max = 1.0;
+            peak[0] = fabs(t[0]);
+            for (int64_t j = 1; j <= k; j++)
+                peak[j] = fabs(t[j]) > peak[j - 1] ? fabs(t[j]) : peak[j - 1];
         }
     }
     return n;

@@ -314,7 +314,7 @@ def _load(path: str) -> ctypes.CDLL:
     lib.fib_run.restype = None
     lib.fib_run.argtypes = [u64, u64, i64, ptr]
     lib.vt_run.restype = i64
-    lib.vt_run.argtypes = [u64, u64, i64, ptr, ptr]
+    lib.vt_run.argtypes = [u64, u64, i64] + [ptr] * 4
     lib.exact_run.restype = i64
     lib.exact_run.argtypes = [u64, u64, i64, i64, ptr, ptr, ptr]
     lib.normal_rows.restype = None

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -254,7 +254,8 @@ def _cmd_tails(args) -> tuple[dict, dict]:
 def _cmd_verify(args) -> tuple[dict, dict]:
     checks = verification.run_suite(args.suite)
     for cr in checks:
-        print(verification.format_line(cr))
+        # wall times vary from run to run: --no-timestamps leaves them out here too, as in checks.csv
+        print(verification.format_line(replace(cr, elapsed_s=None) if args.no_timestamps else cr))
     failed = sum(1 for c in checks if not c.passed)
     print(f"verify --suite {args.suite}: {len(checks) - failed}/{len(checks)} checks passed")
     results = {

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 EXACT_STEP_CAP = 4096  # the kernel holds (n + 1)((n + 1) // 64 + 2) 8-byte limbs: 2.2 MB at the cap
-VT_STEP_CAP = 20_000  # step k reads k words: 1e4 steps take about 0.5 s in the kernel, 2e4 about 2.4 s
+VT_STEP_CAP = 20_000  # the reference loop draws all k normals of step k: 2e4 steps take about 5.5 s there
 FIB_STEP_CAP = 10**8  # the series holds 8 bytes a step: 800 MB at the cap
 
 _RENORM_HI = 2.0**64
@@ -159,11 +159,14 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
 
     Entry k is log(t[0]^2 + ... + t[k]^2). The state is renormalized
     whenever the largest |t| since the last renormalization exceeds 2^64.
-    Time is O(n^2), so n is capped at VT_STEP_CAP. The compiled kernel
-    runs the loop (vt_run) where its Gaussian draws load (see
-    chain._kernel_for), _vt_reference otherwise; both give the same
-    numbers bit for bit and return the steps they did, and a run that
-    stops short raises DegenerateDivisorError here.
+    The compiled kernel runs the loop (vt_run) where its Gaussian draws
+    load (see chain._kernel_for), _vt_reference otherwise; both give the
+    same numbers bit for bit and return the steps they did, and a run that
+    stops short raises DegenerateDivisorError here. The kernel stops
+    drawing row k once no term left can move the dot product, which it
+    bounds by the running max |t| in peak, so it draws about 70 normals a
+    step where the reference draws k; n is capped at VT_STEP_CAP for the
+    reference loop's O(n^2) time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -177,7 +180,8 @@ def run_vt(n: int, rng: RngStream) -> np.ndarray:
     if kernel is None:
         done = _vt_reference(n, rng, t, out)
     else:
-        done = kernel.vt_run(rng.seed, rng.stream_id, n, t.ctypes.data, out.ctypes.data)
+        peak, drawn = np.empty(n + 1), np.zeros(1, dtype=np.int64)  # the kernel's running max |t|, normals drawn
+        done = kernel.vt_run(rng.seed, rng.stream_id, n, *(a.ctypes.data for a in (t, out, peak, drawn)))
     if done < n:
         # the word whose top 53 bits are 2^52 gives the uniform 0.5 and so a
         # divisor of exactly 0, once per 2^53 draws
@@ -189,8 +193,10 @@ def _vt_reference(n: int, rng: RngStream, t: np.ndarray, out: np.ndarray) -> int
     """Steps 1 .. n of run_vt into t[1 .. n] and out[1 .. n] in numpy; vt_run must match it bit for bit.
 
     Returns the steps done: n, or k - 1 where the divisor of step k falls
-    below 1e-300. The dot product is chain._seq_sum's term-by-term sum,
-    which the kernel adds in the same order.
+    below 1e-300. The dot product is chain._seq_sum's term-by-term sum of
+    all k terms, which the kernel adds in the same order; the kernel stops
+    at the first term past which no add can move the sum, so this loop is
+    the oracle that shows the cut exact.
     """
     log_scale = 0.0
     sumsq = 1.0

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -736,3 +737,16 @@ def test_verify_reports_the_time_of_each_check(tmp_path, capsys, monkeypatch):
         untimed = list(csv.DictReader(fh))
     assert [row["elapsed_s"] for row in untimed] == [""] * 6
     assert [{**row, "elapsed_s": ""} for row in rows] == untimed
+
+
+def test_verify_prints_the_same_bytes_under_no_timestamps(tmp_path, capsys, monkeypatch):
+    # a clock whose every interval is longer than the last: no check takes the same time twice
+    ticks = (0.01 * i * i for i in itertools.count())
+    monkeypatch.setattr(verification, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    argv = ["verify", "--suite", "paper-constants", "--no-timestamps", "--out"]
+    outs = []
+    for run in ("first", "second"):
+        assert dispatch(argv + [str(tmp_path / run)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 7 and " s]" not in outs[0]

@@ -6,7 +6,9 @@ compare it with scipy.special.ndtri(laws._uniforms(w)) on random words, on
 3 words each side of every branch edge, and at both ends of the uniforms;
 once as the build runs on this host (its x86-64 clone) and once built with
 the clones turned off, as hosts below x86-64-v3 run it. Builds of mutated
-sources show which defects those words catch.
+sources show which defects those words catch. vt_run, which stops drawing a
+row once the rest cannot move its dot product, must give _vt_reference's
+full sums byte for byte, and mutants of that cut must not.
 """
 
 import json
@@ -191,14 +193,14 @@ def test_vt_built_with_contraction_is_caught(compiled, tmp_path):
     flags = tuple("-ffp-contract=fast" if f == "-ffp-contract=off" else f for f in chain._KERNEL_FLAGS)
     assert flags != chain._KERNEL_FLAGS
     lib = _build(tmp_path, "contract", flags=flags)
-    n = 300
-    t, out = np.empty(n + 1), np.empty(n + 1)
-    t[0], out[0] = 1.0, 0.0
-    assert lib.vt_run(1, 0, n, t.ctypes.data, out.ctypes.data) == n
-    assert out[1:].tobytes() != run_vt_reference(n, RngStream(1, 0))[1:].tobytes()
+    done, _, out, _ = _vt_kernel(lib, 300, 1, 0)
+    assert done == 300
+    assert out[1:].tobytes() != run_vt_reference(300, RngStream(1, 0))[1:].tobytes()
 
 
 # --- the vt engines
+
+VT_BOUND = 16.0  # the kernel's bound on |normal|, a power of two
 
 
 def run_vt_reference(n: int, rng: RngStream) -> np.ndarray:
@@ -208,10 +210,35 @@ def run_vt_reference(n: int, rng: RngStream) -> np.ndarray:
         return recursion.run_vt(n, rng)
 
 
+def _vt_kernel(lib, n: int, seed: int, stream: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """vt_run of lib: the steps done, t, out and the normals drawn.
+
+    One zero double lies before peak, so that a mutant that reads peak[-1]
+    reads 0 inside the buffer.
+    """
+    t, out, buf, drawn = np.empty(n + 1), np.empty(n + 1), np.zeros(n + 2), np.zeros(1, dtype=np.int64)
+    t[0], out[0] = 1.0, 0.0
+    done = lib.vt_run(seed, stream, n, *(a.ctypes.data for a in (t, out, buf[1:], drawn)))
+    return done, t, out, int(drawn[0])
+
+
+def _vt_reference_state(n: int, seed: int, stream: int) -> tuple[int, np.ndarray, np.ndarray]:
+    t, out = np.empty(n + 1), np.empty(n + 1)
+    t[0], out[0] = 1.0, 0.0
+    return recursion._vt_reference(n, RngStream(seed, stream), t, out), t, out
+
+
+def _vt_equal(lib, n: int, seed: int, stream: int) -> bool:
+    """Whether vt_run of lib gives _vt_reference's steps, t and out, byte for byte."""
+    done, t, out, _ = _vt_kernel(lib, n, seed, stream)
+    done_ref, t_ref, out_ref = _vt_reference_state(n, seed, stream)
+    return done == done_ref and t.tobytes() == t_ref.tobytes() and out.tobytes() == out_ref.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 3000])
 def test_vt_kernel_equals_reference_bit_for_bit(compiled, n, seed):
-    # rows of 255 to 257 and 513 words end inside, at and past the kernel's 256-coordinate chunks
+    # rows of 255 to 257 and 513 words end inside, at and past a multiple of the kernel's 16-coordinate chunks
     out = recursion.run_vt(n, RngStream(seed, 11))
     assert out.tobytes() == run_vt_reference(n, RngStream(seed, 11)).tobytes()
     if n == 3000:
@@ -221,15 +248,56 @@ def test_vt_kernel_equals_reference_bit_for_bit(compiled, n, seed):
 
 def test_vt_kernel_state_equals_reference_through_renormalizations(compiled):
     n = 600
-    t, out = np.empty(n + 1), np.empty(n + 1)
-    t[0], out[0] = 1.0, 0.0
-    assert chain._kernel().vt_run(5, 2, n, t.ctypes.data, out.ctypes.data) == n
-    t_ref, out_ref = np.empty(n + 1), np.empty(n + 1)
-    t_ref[0], out_ref[0] = 1.0, 0.0
-    assert recursion._vt_reference(n, RngStream(5, 2), t_ref, out_ref) == n
+    done, t, out, _ = _vt_kernel(chain._kernel(), n, 5, 2)
+    assert done == n
+    done_ref, t_ref, out_ref = _vt_reference_state(n, 5, 2)
+    assert done_ref == n
     assert t.tobytes() == t_ref.tobytes() and out.tobytes() == out_ref.tobytes()
     assert out[-1] > 2 * 128 * math.log(2.0)  # renormalized at least twice
     assert np.max(np.abs(t)) <= 2.0**64
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**64 - 1, 11), (1_000_003, 237)])
+def test_vt_cut_rows_equal_the_full_sums(kernel, seed, stream):
+    # below 16 steps a row is one chunk, and no step can stop early; steps 200 .. 215 put the
+    # divisor, drawn alone after the cut, at every offset of its 16-word chunk. Stream 237 of
+    # seed 1,000,003 is one where a cut that bounds |normal| by 1 moves a sum (step 81)
+    for n in range(1, 16):
+        assert _vt_equal(kernel, n, seed, stream), n
+        assert _vt_kernel(kernel, n, seed, stream)[3] == n * (n + 1) // 2
+    drawn = [_vt_kernel(kernel, n, seed, stream)[3] for n in range(199, 216)]
+    for n, step in zip(range(200, 216), np.diff(drawn)):
+        assert _vt_equal(kernel, n, seed, stream), n
+        assert step < n  # step n stopped drawing its row and drew the divisor's block alone
+
+
+def test_vt_draws_a_tenth_of_the_normals(compiled):
+    # a cut that silently turns off draws all sum(k) normals
+    n = 3000
+    done, _, _, drawn = _vt_kernel(chain._kernel(), n, 1, 0)
+    assert done == n and drawn < n * (n + 1) // 2 / 10
+
+
+def test_vt_bound_lies_above_every_normal(compiled):
+    # _check_words holds the extreme words, m = 0 and m = 2^53 - 1
+    assert f"#define VT_BOUND {VT_BOUND}" in chain._KERNEL_SOURCE.read_text()
+    assert math.frexp(VT_BOUND)[0] == 0.5  # a power of two, so VT_BOUND * peak is exact
+    assert np.abs(_normals(chain._kernel(), chain._check_words())).max() < VT_BOUND
+
+
+# mutations of vt_run's cut, each a text of _chain_kernel.c, its replacement and a (seed, stream, n) it shows on
+VT_MUTATIONS = {
+    "threshold-2^-30": (("fabs(dot) * 0x1p-55", "fabs(dot) * 0x1p-30"), (1, 0, 300)),
+    "bound-1": (("#define VT_BOUND 16.0", "#define VT_BOUND 1.0"), (1_000_003, 237, 100)),
+    "peak-one-index-old": (("VT_BOUND * peak[k - 1 - i]", "VT_BOUND * peak[k - 2 - i]"), (1, 0, 20)),
+}
+
+
+@pytest.mark.parametrize("mutation", VT_MUTATIONS)
+def test_mutated_vt_cuts_are_caught(compiled, tmp_path, mutation):
+    replace, (seed, stream, n) = VT_MUTATIONS[mutation]
+    assert _vt_equal(chain._kernel(), n, seed, stream)
+    assert not _vt_equal(_build(tmp_path, mutation, replace=replace), n, seed, stream)
 
 
 def test_vt_pinned_digest_holds_on_the_reference_loop(monkeypatch):
@@ -246,7 +314,7 @@ class _StopsShort:
     normals_exact = True
 
     @staticmethod
-    def vt_run(seed, stream, n, t, out):
+    def vt_run(seed, stream, n, t, out, peak, drawn):
         return 5
 
 
